@@ -5,11 +5,18 @@ parents. backward() walks the graph in reverse topological order and
 accumulates gradients with +=; buffers are allocated lazily as zeros, and a
 fresh pass requires explicit zeroing (zero_grads). Graphs are confined to a
 single thread; node values may be shared read-only.
+
+Inside no_grad() the current thread records nothing: every op computes its
+value with the same numpy calls and the same finite check, but builds no vjp
+closures and returns a Node with no parents, so an inference pass keeps no
+graph alive. Recording is per thread and on by default.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +40,30 @@ class Node:
         return f"Node(shape={self.value.shape}, leaf={not self.parents})"
 
 
+class _Mode(threading.local):
+    recording = True  # the class attribute is every new thread's default
+
+
+_mode = _Mode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Stop recording on the calling thread for the duration of the block;
+    the previous state comes back on exit, also when the block raises."""
+    previous = _mode.recording
+    _mode.recording = False
+    try:
+        yield
+    finally:
+        _mode.recording = previous
+
+
+def is_recording() -> bool:
+    """Whether ops on the calling thread record parents for backward()."""
+    return _mode.recording
+
+
 def leaf(value, dtype=None) -> Node:
     """Wrap an array as a graph leaf. Leaves accumulate but never propagate."""
     arr = np.asarray(value, dtype=dtype)
@@ -41,50 +72,61 @@ def leaf(value, dtype=None) -> Node:
     return Node(arr)
 
 
-def _make(op: str, value: np.ndarray, parents: tuple) -> Node:
+def _make(op: str, value: np.ndarray, parents) -> Node:
+    """Every op ends here. Ops pass `_mode.recording and (...)` as parents,
+    so outside recording the (node, vjp) tuple is never built and parents
+    arrives as False."""
     assert_finite(op, value)
-    return Node(value, parents)
+    return Node(value, parents or ())
 
 
 def add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return _make("add", a.value + b.value,
-                 ((a, lambda g: g), (b, lambda g: g)))
+                 _mode.recording and ((a, lambda g: g), (b, lambda g: g)))
 
 
 def add_row(a: Node, row: Node) -> Node:
     """Broadcast-add a length-n row vector to every row of an (m, n) matrix."""
     return _make("add_row", a.value + row.value,
-                 ((a, lambda g: g), (row, lambda g: g.sum(axis=0))))
+                 _mode.recording and ((a, lambda g: g),
+                                      (row, lambda g: g.sum(axis=0))))
 
 
 def scale(a: Node, c: float) -> Node:
-    return _make("scale", a.value * c, ((a, lambda g: g * c),))
+    return _make("scale", a.value * c,
+                 _mode.recording and ((a, lambda g: g * c),))
 
 
 def mul(a: Node, b: Node) -> Node:
     return _make("mul", a.value * b.value,
-                 ((a, lambda g: g * b.value), (b, lambda g: g * a.value)))
+                 _mode.recording and ((a, lambda g: g * b.value),
+                                      (b, lambda g: g * a.value)))
 
 
 def matmul(a: Node, b: Node) -> Node:
     v = numerics.matmul(a.value, b.value)
     return _make("matmul", v,
-                 ((a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)))
+                 _mode.recording and ((a, lambda g: g @ b.value.T),
+                                      (b, lambda g: a.value.T @ g)))
 
 
 def transpose(a: Node) -> Node:
-    return _make("transpose", a.value.T.copy(), ((a, lambda g: g.T),))
+    return _make("transpose", a.value.T.copy(),
+                 _mode.recording and ((a, lambda g: g.T),))
 
 
 def softmax_rows(a: Node) -> Node:
     y = numerics.softmax_rows(a.value)
+    return _make("softmax_rows", y, _mode.recording and (
+        (a, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))),))
 
-    def vjp(g, y=y):
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
-    return _make("softmax_rows", y, ((a, vjp),))
+def _layer_norm_vjp(g, xhat, inv_std, gv):
+    gg = g * gv
+    return (gg - gg.mean(axis=-1, keepdims=True)
+            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)) * inv_std
 
 
 def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
@@ -94,14 +136,8 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (xv - mean) * inv_std
     out = xhat * gamma.value + beta.value
-
-    def vjp_x(g, xhat=xhat, inv_std=inv_std, gv=gamma.value):
-        gg = g * gv
-        return (gg - gg.mean(axis=-1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=-1, keepdims=True)) * inv_std
-
-    return _make("layer_norm", out, (
-        (x, vjp_x),
+    return _make("layer_norm", out, _mode.recording and (
+        (x, lambda g, gv=gamma.value: _layer_norm_vjp(g, xhat, inv_std, gv)),
         (gamma, lambda g: (g * xhat).sum(axis=0)),
         (beta, lambda g: g.sum(axis=0)),
     ))
@@ -109,7 +145,14 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
 
 def gelu(x: Node) -> Node:
     return _make("gelu", numerics.gelu(x.value),
-                 ((x, lambda g: g * numerics.gelu_grad(x.value)),))
+                 _mode.recording and (
+                     (x, lambda g: g * numerics.gelu_grad(x.value)),))
+
+
+def _scatter_rows(g, idx, shape, dtype):
+    out = np.zeros(shape, dtype=dtype)
+    np.add.at(out, idx, g)
+    return out
 
 
 def gather_rows(a: Node, idx: Sequence[int]) -> Node:
@@ -117,49 +160,50 @@ def gather_rows(a: Node, idx: Sequence[int]) -> Node:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[0]):
         raise IndexError(f"row index out of range for shape {a.shape}")
+    return _make("gather_rows", a.value[idx].copy(), _mode.recording and (
+        (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
+            _scatter_rows(g, idx, shape, dtype)),))
 
-    def vjp(g, idx=idx, shape=a.value.shape, dtype=a.value.dtype):
-        out = np.zeros(shape, dtype=dtype)
-        np.add.at(out, idx, g)
-        return out
 
-    return _make("gather_rows", a.value[idx].copy(), ((a, vjp),))
+def _pad_cols(g, start, stop, shape, dtype):
+    out = np.zeros(shape, dtype=dtype)
+    out[:, start:stop] = g
+    return out
 
 
 def slice_cols(a: Node, start: int, stop: int) -> Node:
-    def vjp(g, start=start, stop=stop, shape=a.value.shape, dtype=a.value.dtype):
-        out = np.zeros(shape, dtype=dtype)
-        out[:, start:stop] = g
-        return out
-
-    return _make("slice_cols", a.value[:, start:stop].copy(), ((a, vjp),))
+    return _make("slice_cols", a.value[:, start:stop].copy(), _mode.recording and (
+        (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
+            _pad_cols(g, start, stop, shape, dtype)),))
 
 
 def concat_cols(nodes: Sequence[Node]) -> Node:
     widths = [n.value.shape[1] for n in nodes]
     offsets = np.cumsum([0] + widths)
-    parents = tuple(
-        (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[:, s:e]))
-        for i, n in enumerate(nodes)
-    )
-    return _make("concat_cols", np.concatenate([n.value for n in nodes], axis=1), parents)
+    return _make("concat_cols", np.concatenate([n.value for n in nodes], axis=1),
+                 _mode.recording and tuple(
+                     (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[:, s:e]))
+                     for i, n in enumerate(nodes)))
 
 
 def concat_rows(nodes: Sequence[Node]) -> Node:
     heights = [n.value.shape[0] for n in nodes]
     offsets = np.cumsum([0] + heights)
-    parents = tuple(
-        (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e]))
-        for i, n in enumerate(nodes)
-    )
-    return _make("concat_rows", np.concatenate([n.value for n in nodes], axis=0), parents)
+    return _make("concat_rows", np.concatenate([n.value for n in nodes], axis=0),
+                 _mode.recording and tuple(
+                     (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e]))
+                     for i, n in enumerate(nodes)))
 
 
 def sum_all(a: Node) -> Node:
-    def vjp(g, shape=a.value.shape):
-        return np.broadcast_to(g, shape).copy()
+    return _make("sum_all", a.value.sum(), _mode.recording and (
+        (a, lambda g, shape=a.value.shape: np.broadcast_to(g, shape).copy()),))
 
-    return _make("sum_all", a.value.sum(), ((a, vjp),))
+
+def _cross_entropy_vjp(g, shifted, lse, label, shape):
+    p = np.exp(shifted - lse)
+    p[label] -= 1.0
+    return (g * p).reshape(shape)
 
 
 def cross_entropy(logits: Node, label: int) -> Node:
@@ -168,13 +212,9 @@ def cross_entropy(logits: Node, label: int) -> Node:
     shifted = z - z.max()
     lse = np.log(np.exp(shifted).sum())
     loss = np.asarray(lse - shifted[label])
-
-    def vjp(g, shifted=shifted, lse=lse, label=label, shape=logits.value.shape):
-        p = np.exp(shifted - lse)
-        p[label] -= 1.0
-        return (g * p).reshape(shape)
-
-    return _make("cross_entropy", loss, ((logits, vjp),))
+    return _make("cross_entropy", loss, _mode.recording and (
+        (logits, lambda g, shape=logits.value.shape:
+            _cross_entropy_vjp(g, shifted, lse, label, shape)),))
 
 
 def _toposort(root: Node) -> list[Node]:

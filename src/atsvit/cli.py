@@ -29,13 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autograd as ag
 from .container import ContainerError
 from .dataset import DatasetManifest, generate, load_pgm, save_pgm
 from .flops import static_macs
 from .model import ModelConfig, init_weights, as_nodes, forward, load_weights, save_weights
-from .numerics import FAST_DTYPE, Rng
+from .numerics import FAST_DTYPE, NonFiniteError, Rng
 from .sampling import InverseRule, Policy, Scoring
-from .trainer import evaluate, fine_tune, train
+from .trainer import TrainingDiverged, evaluate, fine_tune, train
 
 
 def _threads() -> int:
@@ -204,7 +205,7 @@ def cmd_eval(args) -> int:
     arch, tensors = load_weights(args.weights)
     cfg = _apply_runtime(arch, args)
     weights = as_nodes(tensors, dtype=FAST_DTYPE)
-    _, val_set = generate(_manifest(args))
+    _, val_set = generate(_manifest(args), train=False)
     payload = _eval_payload(cfg, weights, val_set, args.seed)
     write_json(args.out, payload)
     if not args.quiet:
@@ -236,7 +237,7 @@ def cmd_sweep(args) -> int:
     weights = as_nodes(tensors, dtype=FAST_DTYPE)
     base_cfg = _apply_runtime(arch, args)
     stages = _parse_stages(args.ats_stages) or (2, 3, 4, 5)
-    _, val_set = generate(_manifest(args))
+    _, val_set = generate(_manifest(args), train=False)
     policies = [Policy(p) for p in args.policies.split(",")]
     scorings = [Scoring(s) for s in args.scorings.split(",")]
     baseline = static_macs(base_cfg)
@@ -290,7 +291,7 @@ def cmd_masks(args) -> int:
     if args.images:
         images = [load_pgm(p) for p in args.images]
     else:
-        _, val_set = generate(_manifest(args))
+        _, val_set = generate(_manifest(args), train=False)
         images = [s.image for s in val_set[:args.count]]
 
     out_dir = Path(args.out_dir)
@@ -306,22 +307,20 @@ def cmd_masks(args) -> int:
         return np.kron(grid, np.ones((p, p)))
 
     for i, image in enumerate(images):
-        trace = forward(np.asarray(image, dtype=np.float64), cfg, weights,
-                        rng=Rng(args.seed, stream=1000 + i))
+        with ag.no_grad():
+            trace = forward(np.asarray(image, dtype=np.float64), cfg, weights,
+                            rng=Rng(args.seed, stream=1000 + i))
         save_pgm(out_dir / f"img{i:03d}.pgm", np.asarray(image))
+        traced = trace.to_json_dict()
         stages_obj = {}
         alive = tuple(range(cfg.num_tokens))
-        for stage in range(cfg.depth):
-            if stage in trace.samples:
-                alive = trace.alive[stage]
-                save_pgm(out_dir / f"img{i:03d}_stage{stage}.pgm",
-                         patch_mask(alive))
-                res = trace.samples[stage]
-                stages_obj[str(stage)] = {
-                    "sample": {"kept": list(res.kept), "k_prime": res.k_prime,
-                               "psi": list(res.psi)},
-                    "kept_original": [int(t) for t in alive],
-                }
+        for stage in sorted(trace.samples):
+            alive = trace.alive[stage]
+            save_pgm(out_dir / f"img{i:03d}_stage{stage}.pgm", patch_mask(alive))
+            stages_obj[str(stage)] = {
+                "sample": traced["samples"][str(stage)],
+                "kept_original": traced["alive"][str(stage)],
+            }
         save_pgm(out_dir / f"img{i:03d}_final.pgm", patch_mask(alive))
         write_json(str(out_dir / f"img{i:03d}.json"),
                    {"schema": 1, "index": i, "stages": stages_obj,
@@ -397,7 +396,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ContainerError, ValueError, OSError) as exc:
+    except (ContainerError, ValueError, OSError, NonFiniteError,
+            TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ header order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -48,9 +49,28 @@ def write(path: str, magic: bytes, meta: dict, tensors: dict[str, np.ndarray]) -
         f.write(payload)
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _manifest(path: str, header) -> list[dict]:
+    """The header's tensor entries, each checked to carry a string name, a
+    list of non-negative int dims and a non-negative int offset."""
+    entries = header.get("tensors") if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise ContainerError(f"{path}: header is not an object with a tensors list")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _is_count(entry.get("offset"))
+                and isinstance(entry.get("shape"), list)
+                and all(_is_count(d) for d in entry["shape"])):
+            raise ContainerError(f"{path}: malformed manifest entry {i}")
+    return entries
+
+
 def read(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read header metadata and float32 tensors; validates magic, manifest
-    contiguity, and payload length."""
+    """Read header metadata and float32 tensors; validates magic, header
+    shape, manifest entries and contiguity, and payload length."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:6] != magic:
@@ -65,10 +85,10 @@ def read(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
     tensors: dict[str, np.ndarray] = {}
     expected = 0
-    for entry in header["tensors"]:
+    for entry in _manifest(path, header):
         if entry["offset"] != expected:
             raise ContainerError(f"{path}: non-contiguous manifest at {entry['name']}")
-        size = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
+        size = math.prod(entry["shape"])
         nbytes = size * 4
         if entry["offset"] + nbytes > len(payload):
             raise TruncatedPayloadError(

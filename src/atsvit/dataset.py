@@ -129,12 +129,16 @@ def _make_split(manifest: DatasetManifest, offset: int, count: int,
     return samples
 
 
-def generate(manifest: DatasetManifest) -> tuple[list[ShapeSample], list[ShapeSample]]:
+def generate(manifest: DatasetManifest, train: bool = True
+             ) -> tuple[list[ShapeSample], list[ShapeSample]]:
     """Deterministic (train, val) splits with disjoint per-sample streams and
-    class balance within one sample per class."""
-    train = _make_split(manifest, 0, manifest.n_train, stream=17)
+    class balance within one sample per class. With train=False the train
+    split comes back empty and is never rendered; the val split is the same,
+    since its streams are indexed from n_train either way."""
+    train_set = (_make_split(manifest, 0, manifest.n_train, stream=17)
+                 if train else [])
     val = _make_split(manifest, manifest.n_train, manifest.n_val, stream=17)
-    return train, val
+    return train_set, val
 
 
 def save_dataset(path: str, manifest: DatasetManifest,

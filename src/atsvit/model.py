@@ -52,6 +52,10 @@ class ModelConfig:
     scoring: Scoring = Scoring.CLS_VNORM
 
     def __post_init__(self):
+        for name in ARCH_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
         for s in self.ats_stages:
@@ -72,10 +76,6 @@ class ModelConfig:
     @property
     def num_tokens(self) -> int:
         return self.num_patches + 1
-
-    @property
-    def budget_k(self) -> int:
-        return self.sampler.k
 
     @property
     def attn(self) -> AttentionConfig:
@@ -271,7 +271,11 @@ def load_weights(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Load and validate a weight file. Every tensor shape is checked against
     what the header config implies."""
     meta, tensors = container.read(path, WEIGHT_MAGIC)
-    cfg = ModelConfig.from_arch_dict(meta["config"])
+    arch = meta.get("config")
+    if not isinstance(arch, dict) or not set(ARCH_FIELDS) <= set(arch):
+        raise container.ContainerError(
+            f"{path}: header config must hold the fields {list(ARCH_FIELDS)}")
+    cfg = ModelConfig.from_arch_dict(arch)
     expected = _param_shapes(cfg)
     if set(tensors) != set(expected):
         missing = set(expected) ^ set(tensors)

@@ -89,7 +89,6 @@ class EvalResult:
     mean_macs: float
     macs: np.ndarray                       # per-image totals
     kprime: dict[int, np.ndarray]          # per sampling stage, per image
-    traces: list[ForwardTrace] | None = None
 
     def kprime_hist(self, stage: int) -> dict[int, int]:
         vals, counts = np.unique(self.kprime[stage], return_counts=True)
@@ -103,15 +102,18 @@ def _ce_from_logits(logits: np.ndarray, label: int) -> float:
 
 def evaluate(cfg: ModelConfig, weights: dict[str, Node],
              samples: list[ShapeSample], seed: int = 0,
-             threads: int = 1, keep_traces: bool = False) -> EvalResult:
+             threads: int = 1) -> EvalResult:
     """Forward every sample and aggregate accuracy, cost, and token counts.
 
     Parallelism is across images only and results are merged in input order,
-    so the outcome does not depend on the thread count.
+    so the outcome does not depend on the thread count. Each forward runs
+    under no_grad, entered on the thread that runs it, so no graph outlives
+    its image.
     """
     def run(item: tuple[int, ShapeSample]) -> ForwardTrace:
         i, s = item
-        return forward(s.image, cfg, weights, rng=Rng(seed, stream=1000 + i))
+        with ag.no_grad():
+            return forward(s.image, cfg, weights, rng=Rng(seed, stream=1000 + i))
 
     work = list(enumerate(samples))
     if threads > 1:
@@ -137,7 +139,6 @@ def evaluate(cfg: ModelConfig, weights: dict[str, Node],
         mean_macs=float(np.mean(macs)),
         macs=np.array(macs, dtype=np.int64),
         kprime={s: np.array(v, dtype=np.int64) for s, v in kprime.items()},
-        traces=traces if keep_traces else None,
     )
 
 

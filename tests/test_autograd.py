@@ -1,3 +1,6 @@
+import concurrent.futures
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -58,9 +61,57 @@ def test_gradient_shapes_match_values():
 
 def test_overflow_is_an_error():
     big = ag.leaf(np.full((2, 2), 1e300))
-    with np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteError):
-            ag.mul(big, big)
+    for mode in (contextlib.nullcontext(), ag.no_grad()):
+        with np.errstate(over="ignore"), mode:
+            with pytest.raises(NonFiniteError):
+                ag.mul(big, big)
+
+
+def _every_op(x, w, row):
+    return [ag.add(x, x), ag.add_row(x, row), ag.scale(x, 2.0), ag.mul(x, x),
+            ag.matmul(x, w), ag.transpose(x), ag.softmax_rows(x),
+            ag.layer_norm(x, row, row), ag.gelu(x), ag.gather_rows(x, (2, 0)),
+            ag.slice_cols(x, 1, 3), ag.concat_cols([x, x]),
+            ag.concat_rows([x, x]), ag.sum_all(x),
+            ag.cross_entropy(ag.gather_rows(x, (0,)), 1)]
+
+
+class TestNoGrad:
+    def test_every_op_same_value_without_parents(self):
+        rng = Rng(2)
+        args = (ag.leaf(rng.normal((3, 4))), ag.leaf(rng.normal((4, 4))),
+                ag.leaf(rng.normal((4,))))
+        recorded = _every_op(*args)
+        with ag.no_grad():
+            bare = _every_op(*args)
+        for r, b in zip(recorded, bare, strict=True):
+            assert r.parents and b.parents == ()
+            assert np.array_equal(r.value, b.value)
+
+    def test_flag_restored_after_exception(self):
+        assert ag.is_recording()
+        with pytest.raises(ValueError):
+            with ag.no_grad():
+                assert not ag.is_recording()
+                ag.add(ag.leaf(np.ones(2)), ag.leaf(np.ones(3)))
+        assert ag.is_recording()
+
+    def test_nested_blocks_restore_outer_state(self):
+        with ag.no_grad():
+            with ag.no_grad():
+                pass
+            assert not ag.is_recording()
+        assert ag.is_recording()
+
+    def test_worker_thread_does_not_see_callers_flag(self):
+        x = ag.leaf(np.ones((2, 2)))
+        with ag.no_grad():
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                seen, node = pool.submit(
+                    lambda: (ag.is_recording(), ag.add(x, x))).result(timeout=60)
+            assert not ag.is_recording()
+        assert seen is True
+        assert node.parents
 
 
 def _random_composite(seed: int):

@@ -1,10 +1,13 @@
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from atsvit.cli import main, read_json, read_metrics_csv, read_sweep_csv
 from atsvit.dataset import load_pgm
+from atsvit.model import as_nodes, load_weights, save_weights
 
 TINY_ARCH = {"dim": 16, "heads": 2, "depth": 3, "mlp_ratio": 2}
 DATA = ["--n-train", "16", "--n-val", "8", "--data-seed", "5"]
@@ -90,6 +93,51 @@ class TestEval:
         rc = main(["eval", "--weights", str(bad),
                    "--out", str(tmp_path / "x.json"), "--quiet"] + DATA)
         assert rc == 1
+
+
+def _rewrite_header(src: str, dst, edit) -> None:
+    """Copy a weight file with its JSON header replaced by edit(header)."""
+    raw = Path(src).read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[6:14])
+    blob = json.dumps(edit(json.loads(raw[14:14 + hlen]))).encode()
+    dst.write_bytes(raw[:6] + struct.pack("<Q", len(blob)) + blob
+                    + raw[14 + hlen:])
+
+
+def _with_patch_size(header, size):
+    header["config"]["patch_size"] = size
+    return header
+
+
+class TestMalformedWeights:
+    @pytest.mark.parametrize("edit", [
+        lambda h: {k: v for k, v in h.items() if k != "tensors"},
+        lambda h: [h],
+        lambda h: _with_patch_size(h, 0),
+        lambda h: {k: v for k, v in h.items() if k != "config"},
+    ], ids=["no-tensors-key", "list-header", "patch-size-0", "no-config-key"])
+    def test_malformed_header_fails_cleanly(self, trained, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.atsw"
+        _rewrite_header(trained, bad, edit)
+        rc = main(["eval", "--weights", str(bad),
+                   "--out", str(tmp_path / "x.json"), "--quiet"] + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command,message", [("eval", "non-finite"),
+                                                 ("finetune", "diverged")])
+    def test_nan_weights_fail_cleanly(self, trained, tmp_path, capsys,
+                                      command, message):
+        cfg, tensors = load_weights(trained)
+        tensors["patch.w"][0, 0] = np.nan
+        bad = tmp_path / "nan.atsw"
+        save_weights(str(bad), cfg, as_nodes(tensors))
+        flags = FAST if command == "finetune" else ["--quiet"]
+        rc = main([command, "--weights", str(bad),
+                   "--out", str(tmp_path / "out")] + DATA + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestSweep:

@@ -20,6 +20,15 @@ class TestGenerate:
         b, _ = generate(DatasetManifest(seed=2, n_train=8, n_val=1))
         assert any(not np.array_equal(x.image, y.image) for x, y in zip(a, b))
 
+    def test_val_split_without_train_is_identical(self):
+        m = DatasetManifest(seed=3, n_train=24, n_val=12)
+        _, val = generate(m)
+        no_train, val_only = generate(m, train=False)
+        assert no_train == []
+        for a, b in zip(val, val_only, strict=True):
+            assert a.image.tobytes() == b.image.tobytes()
+            assert a.label == b.label and a.clutter == b.clutter
+
     def test_train_val_disjoint_streams(self):
         m = DatasetManifest(seed=3, n_train=16, n_val=16)
         train, val = generate(m)

@@ -7,7 +7,7 @@ from atsvit.model import (ModelConfig, ShapeMismatchError, extract_patches,
                           forward, init_weights, load_weights, parameter_count,
                           patch_embed, save_weights)
 from atsvit.numerics import Rng, softmax_rows
-from atsvit.sampling import sample_indices
+from atsvit.sampling import Policy, Scoring, sample_indices
 
 TINY = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, depth=2,
                    mlp_ratio=2, num_classes=3)
@@ -206,6 +206,30 @@ class TestForward:
         assert "stage_counts" in payload
 
 
+NO_GRAD_CASES = [None] + [(policy, scoring)
+                          for policy in ("inverse", "topk", "random")
+                          for scoring in ("cls-vnorm", "rowsum", "random-token")]
+
+
+@pytest.mark.parametrize("case", NO_GRAD_CASES,
+                         ids=lambda c: "unsampled" if c is None else "-".join(c))
+def test_no_grad_forward_is_bitwise_equal(case):
+    cfg = ModelConfig()
+    if case is not None:
+        cfg = cfg.with_sampling((1, 3, 4), k=6, policy=Policy(case[0]),
+                                scoring=Scoring(case[1]))
+    w = init_weights(cfg, Rng(2), dtype=np.float32)
+    img = Rng(9).uniform((32, 32, 1))
+    recorded = forward(img, cfg, w, rng=Rng(0, stream=1000))
+    with ag.no_grad():
+        bare = forward(img, cfg, w, rng=Rng(0, stream=1000))
+    assert recorded.logits.tobytes() == bare.logits.tobytes()
+    assert recorded.stage_counts == bare.stage_counts
+    assert recorded.samples == bare.samples
+    assert recorded.alive == bare.alive
+    assert recorded.logits_node.parents and bare.logits_node.parents == ()
+
+
 class TestSamplingIsParameterFree:
     def test_parameter_count_independent_of_stages(self):
         w1, _ = np_weights(ModelConfig())
@@ -280,3 +304,9 @@ class TestConfigValidation:
     def test_budget_bounded_by_patches(self):
         with pytest.raises(ValueError):
             ModelConfig().with_sampling((2,), k=17)
+
+    @pytest.mark.parametrize("field,value", [("patch_size", 0), ("depth", -1),
+                                             ("dim", 16.0), ("heads", True)])
+    def test_sizes_are_positive_ints(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})

@@ -123,11 +123,13 @@ class TestTrain:
 
     def test_every_parameter_gets_gradient(self):
         """No dead branches: with sampling active, every parameter sees a
-        nonzero gradient during one epoch."""
+        nonzero gradient during one epoch, run right after an evaluate pass,
+        whose forwards record nothing."""
         cfg = TINY.with_sampling((0, 1), k=3)
         train_set, val_set = generate(TINY_DATA)
         w = init_weights(cfg, Rng(3), dtype=np.float64)
         seen = {k: 0.0 for k in w}
+        evaluate(cfg, w, val_set, seed=0)
 
         for j, sample in enumerate(train_set):
             ag.zero_grads(w)
