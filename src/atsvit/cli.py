@@ -1,8 +1,7 @@
 """Command-line harness: train, finetune, eval, sweep, masks.
 
 Every command is deterministic given its flags; seeds are explicit and no
-output embeds timestamps. Evaluation parallelism is capped by the env var
-ATS_THREADS (default 1) and never changes results.
+output embeds timestamps.
 
 Emitted schemas (all carry schema=1 and are validated on read-back):
   metrics CSV   epoch, split, loss, top1, mean_kprime_per_stage, mean_macs
@@ -22,9 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +33,7 @@ from .flops import static_macs
 from .model import ModelConfig, init_weights, as_nodes, forward, load_weights, save_weights
 from .numerics import FAST_DTYPE, NonFiniteError, Rng
 from .sampling import InverseRule, Policy, Scoring
-from .trainer import TrainingDiverged, evaluate, fine_tune, train
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ATS_THREADS", "1")))
-    except ValueError:
-        return 1
+from .trainer import EvalResult, TrainingDiverged, evaluate, fine_tune, train
 
 
 def _parse_stages(text: str) -> tuple[int, ...]:
@@ -103,6 +93,8 @@ def _arch_config(args) -> ModelConfig:
     if args.config:
         with open(args.config) as f:
             fields = json.load(f)
+        if not isinstance(fields, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
         cfg = ModelConfig.from_arch_dict({**ModelConfig().arch_dict(), **fields})
     else:
         cfg = ModelConfig()
@@ -178,7 +170,7 @@ def cmd_finetune(args) -> int:
 
 
 def _eval_payload(cfg: ModelConfig, weights, val_set, seed: int) -> dict:
-    ev = evaluate(cfg, weights, val_set, seed=seed, threads=_threads())
+    ev = evaluate(cfg, weights, val_set, seed=seed)
     stages = {}
     for stage in cfg.ats_stages:
         hist = ev.kprime_hist(stage)
@@ -214,22 +206,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def resolve_budget(cfg: ModelConfig, weights, val_set, fraction: float,
-                   seed: int) -> int:
-    """Largest budget whose mean MACs stay at or below fraction * baseline,
-    found by bisection over the budget (min budget 1 if none qualifies)."""
-    target = fraction * static_macs(cfg)
-    lo, hi, best = 1, cfg.num_patches, 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        ev = evaluate(replace(cfg, sampler=replace(cfg.sampler, k=mid)),
-                      weights, val_set, seed=seed, threads=_threads())
-        if ev.mean_macs <= target:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+def resolve_budget(cfg: ModelConfig, weights, val_set, fractions: list[float],
+                   seed: int) -> list[tuple[int, EvalResult]]:
+    """For each fraction, the largest budget whose mean MACs stay at or below
+    fraction * baseline (budget 1 if none does), paired with its result.
+    Every budget in 1..num_patches is evaluated once, so the answer does not
+    rest on mean MACs rising with the budget."""
+    baseline = static_macs(cfg)
+    scan = [(k, evaluate(cfg.with_sampling(cfg.ats_stages, k=k), weights,
+                         val_set, seed=seed))
+            for k in range(1, cfg.num_patches + 1)]
+    return [max((p for p in scan if p[1].mean_macs <= frac * baseline),
+                key=lambda p: p[0], default=scan[0])
+            for frac in fractions]
 
 
 def cmd_sweep(args) -> int:
@@ -248,15 +237,14 @@ def cmd_sweep(args) -> int:
             combo_cfg = base_cfg.with_sampling(stages, policy=policy,
                                                scoring=scoring)
             if args.mac_fraction:
-                budgets = [resolve_budget(combo_cfg, weights, val_set, frac,
-                                          args.seed)
-                           for frac in _parse_float_list(args.mac_fraction)]
+                results = resolve_budget(combo_cfg, weights, val_set,
+                                         _parse_float_list(args.mac_fraction),
+                                         args.seed)
             else:
-                budgets = _parse_int_list(args.budgets)
-            for k in budgets:
-                cfg = combo_cfg.with_sampling(stages, k=k)
-                ev = evaluate(cfg, weights, val_set, seed=args.seed,
-                              threads=_threads())
+                results = [(k, evaluate(combo_cfg.with_sampling(stages, k=k),
+                                        weights, val_set, seed=args.seed))
+                           for k in _parse_int_list(args.budgets)]
+            for k, ev in results:
                 rows.append({
                     "schema": 1,
                     "policy": policy.value,

@@ -1,5 +1,5 @@
 """Binary tensor container: magic line, length-prefixed JSON header, then a
-little-endian float32 payload. Used for model weights and cached datasets.
+little-endian float32 payload. Used for model weights.
 
 Layout: magic (6 bytes) | u64 LE header length | header JSON (UTF-8) |
 payload. The header carries a named tensor manifest with shapes and byte

@@ -11,15 +11,12 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv
 
-from . import container
 from .numerics import Rng
-
-DATASET_MAGIC = b"ATSC1\n"
 
 IMAGE_SIZE = 32
 NUM_CLASSES = 4
@@ -49,11 +46,6 @@ class DatasetManifest:
     def __post_init__(self):
         if self.n_train < 1 or self.n_val < 1:
             raise ValueError("need at least one sample per split")
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["schema"] = 1
-        return d
 
 
 def _draw_hbar(img: np.ndarray, rng: Rng, value: float) -> None:
@@ -139,31 +131,6 @@ def generate(manifest: DatasetManifest, train: bool = True
                  if train else [])
     val = _make_split(manifest, manifest.n_train, manifest.n_val, stream=17)
     return train_set, val
-
-
-def save_dataset(path: str, manifest: DatasetManifest,
-                 samples: list[ShapeSample]) -> None:
-    tensors = {
-        "images": np.stack([s.image for s in samples]),
-        "labels": np.array([s.label for s in samples], dtype=np.float32),
-        "clutter": np.array([s.clutter for s in samples], dtype=np.float32),
-    }
-    container.write(path, DATASET_MAGIC,
-                    {"schema": 1, "manifest": manifest.to_json_dict()}, tensors)
-
-
-def load_dataset(path: str) -> tuple[DatasetManifest, list[ShapeSample]]:
-    meta, tensors = container.read(path, DATASET_MAGIC)
-    m = dict(meta["manifest"])
-    m.pop("schema", None)
-    manifest = DatasetManifest(**m)
-    samples = [
-        ShapeSample(image=tensors["images"][i].astype(np.float64),
-                    label=int(tensors["labels"][i]),
-                    clutter=float(tensors["clutter"][i]))
-        for i in range(len(tensors["labels"]))
-    ]
-    return manifest, samples
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ fixed-order sum over the batch.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import autograd as ag
 from .autograd import Node
 from .dataset import ShapeSample
 from .flops import model_macs
-from .model import ForwardTrace, ModelConfig, forward
+from .model import ModelConfig, forward
 from .numerics import NonFiniteError, Rng
 
 
@@ -101,38 +100,23 @@ def _ce_from_logits(logits: np.ndarray, label: int) -> float:
 
 
 def evaluate(cfg: ModelConfig, weights: dict[str, Node],
-             samples: list[ShapeSample], seed: int = 0,
-             threads: int = 1) -> EvalResult:
-    """Forward every sample and aggregate accuracy, cost, and token counts.
-
-    Parallelism is across images only and results are merged in input order,
-    so the outcome does not depend on the thread count. Each forward runs
-    under no_grad, entered on the thread that runs it, so no graph outlives
-    its image.
-    """
-    def run(item: tuple[int, ShapeSample]) -> ForwardTrace:
-        i, s = item
-        with ag.no_grad():
-            return forward(s.image, cfg, weights, rng=Rng(seed, stream=1000 + i))
-
-    work = list(enumerate(samples))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(run, work))
-    else:
-        traces = [run(w) for w in work]
-
+             samples: list[ShapeSample], seed: int = 0) -> EvalResult:
+    """Forward every sample in input order under no_grad and aggregate
+    accuracy, cost, and token counts. Image i samples with
+    Rng(seed, stream=1000 + i), so reruns are bit-identical."""
     correct = 0
     losses = []
     macs = []
     kprime: dict[int, list[int]] = {s: [] for s in cfg.ats_stages}
-    for s, t in zip(samples, traces):
-        if int(np.argmax(t.logits)) == s.label:
-            correct += 1
-        losses.append(_ce_from_logits(t.logits, s.label))
-        macs.append(model_macs(t, cfg).total_macs)
-        for stage, res in t.samples.items():
-            kprime[stage].append(res.k_prime)
+    with ag.no_grad():
+        for i, s in enumerate(samples):
+            t = forward(s.image, cfg, weights, rng=Rng(seed, stream=1000 + i))
+            if int(np.argmax(t.logits)) == s.label:
+                correct += 1
+            losses.append(_ce_from_logits(t.logits, s.label))
+            macs.append(model_macs(t, cfg).total_macs)
+            for stage, res in t.samples.items():
+                kprime[stage].append(res.k_prime)
     return EvalResult(
         top1=correct / len(samples),
         mean_loss=float(np.mean(losses)),

@@ -5,9 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atsvit.cli import main, read_json, read_metrics_csv, read_sweep_csv
+from atsvit import cli
+from atsvit.cli import (main, read_json, read_metrics_csv, read_sweep_csv,
+                        resolve_budget)
 from atsvit.dataset import load_pgm
-from atsvit.model import as_nodes, load_weights, save_weights
+from atsvit.flops import static_macs
+from atsvit.model import ModelConfig, as_nodes, load_weights, save_weights
+from atsvit.trainer import EvalResult
 
 TINY_ARCH = {"dim": 16, "heads": 2, "depth": 3, "mlp_ratio": 2}
 DATA = ["--n-train", "16", "--n-val", "8", "--data-seed", "5"]
@@ -140,6 +144,55 @@ class TestMalformedWeights:
         assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("body", ["[1, 2]", '"dim"', "null"],
+                         ids=["list", "string", "null"])
+def test_non_object_config_fails_cleanly(tmp_path, capsys, body):
+    cfg = tmp_path / "arch.json"
+    cfg.write_text(body)
+    rc = main(["train", "--seed", "0", "--out", str(tmp_path / "m.atsw"),
+               "--config", str(cfg)] + DATA + FAST)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestResolveBudget:
+    """resolve_budget against a fake evaluate whose cost curve is not
+    monotone in k: k=4 costs more than k=5 and k=6."""
+    CFG = ModelConfig().with_sampling((2, 3))
+    COST = {k: 0.4 + 0.03 * k for k in range(1, CFG.num_patches + 1)} | {4: 0.9}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        baseline = static_macs(self.CFG)
+
+        def fake_evaluate(cfg, weights, samples, seed=0):
+            k = cfg.sampler.k
+            calls.append(k)
+            return EvalResult(top1=k / 100, mean_loss=0.0,
+                              mean_macs=self.COST[k] * baseline,
+                              macs=np.zeros(0, dtype=np.int64), kprime={})
+
+        monkeypatch.setattr(cli, "evaluate", fake_evaluate)
+        return calls
+
+    def test_largest_qualifying_budget_past_a_costly_one(self, calls):
+        # A bisection would probe k=8, then k=4 (0.9 > 0.6) and stop at 3.
+        [(k, ev)] = resolve_budget(self.CFG, {}, [], [0.6], seed=0)
+        assert k == 6
+        assert ev.top1 == 0.06
+
+    def test_each_budget_evaluated_once(self, calls):
+        got = resolve_budget(self.CFG, {}, [], [0.5, 0.6, 0.8], seed=0)
+        assert sorted(calls) == list(range(1, self.CFG.num_patches + 1))
+        assert [k for k, _ in got] == [3, 6, 13]
+
+    def test_fraction_below_every_cost_gives_budget_one(self, calls):
+        [(k, ev)] = resolve_budget(self.CFG, {}, [], [0.1], seed=0)
+        assert k == 1
+        assert ev.top1 == 0.01
+
+
 class TestSweep:
     def test_row_count_and_schema(self, trained, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -178,6 +231,17 @@ class TestSweep:
         rows = read_sweep_csv(str(out))
         assert len(rows) == 1
         assert float(rows[0]["mac_fraction"]) <= 0.8 + 1e-6
+
+    def test_mac_fraction_rows_match_budget_rows(self, trained, tmp_path):
+        common = ["--weights", trained, "--ats-stages", "1,2",
+                  "--policies", "inverse", "--scorings", "cls-vnorm"] + DATA
+        frac, grid = tmp_path / "frac.csv", tmp_path / "grid.csv"
+        assert main(["sweep", "--out", str(frac),
+                     "--mac-fraction", "0.5,0.6,0.8"] + common) == 0
+        budgets = ",".join(r["k"] for r in read_sweep_csv(str(frac)))
+        assert main(["sweep", "--out", str(grid),
+                     "--budgets", budgets] + common) == 0
+        assert frac.read_bytes() == grid.read_bytes()
 
 
 class TestMasks:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from atsvit.dataset import (DatasetManifest, generate, load_dataset, load_pgm,
-                            render_sample, save_dataset, save_pgm)
+from atsvit.dataset import (DatasetManifest, generate, load_pgm, render_sample,
+                            save_pgm)
 from atsvit.numerics import Rng
 
 
@@ -91,19 +91,6 @@ class TestRenderSample:
         clean = render_sample(Rng(4), 3, 0.0).image
         dirty = render_sample(Rng(4), 3, 0.9).image
         assert (dirty > 0).sum() > (clean > 0).sum()
-
-
-class TestDatasetCache:
-    def test_round_trip(self, tmp_path):
-        m = DatasetManifest(seed=13, n_train=12, n_val=4)
-        train, _ = generate(m)
-        path = str(tmp_path / "train.atsc")
-        save_dataset(path, m, train)
-        m2, loaded = load_dataset(path)
-        assert m2 == m
-        for a, b in zip(train, loaded):
-            assert np.allclose(a.image, b.image, atol=1e-7)  # f32 payload
-            assert a.label == b.label
 
 
 class TestPgm:

@@ -196,17 +196,6 @@ class TestFineTune:
 
 
 class TestEvaluate:
-    def test_thread_count_does_not_change_results(self):
-        cfg = TINY.with_sampling((1,), k=3)
-        _, val_set = generate(TINY_DATA)
-        w = init_weights(cfg, Rng(8), dtype=np.float32)
-        a = evaluate(cfg, w, val_set, seed=0, threads=1)
-        b = evaluate(cfg, w, val_set, seed=0, threads=4)
-        assert a.top1 == b.top1
-        assert np.array_equal(a.macs, b.macs)
-        for s in cfg.ats_stages:
-            assert np.array_equal(a.kprime[s], b.kprime[s])
-
     def test_histogram(self):
         cfg = TINY.with_sampling((0,), k=3)
         _, val_set = generate(TINY_DATA)
