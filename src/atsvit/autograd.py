@@ -1,9 +1,13 @@
 """Minimal reverse-mode tape over numpy arrays.
 
 A Node wraps an eagerly computed value plus vector-Jacobian closures for its
-parents. backward() walks the graph in reverse topological order and
-accumulates gradients with +=; buffers are allocated lazily as zeros, and a
-fresh pass requires explicit zeroing (zero_grads). Graphs are confined to a
+parents, and takes a unique creation index from one process-wide counter. A
+parent always exists before its child, so reverse creation order is a
+reverse topological order: backward() pops nodes from a heap keyed on that
+index and never sorts the graph. Only leaves (nodes without parents) keep a
+gradient: they allocate .grad lazily as zeros and accumulate with +=, so a
+fresh pass requires explicit zeroing (zero_grads). Intermediate gradients
+live only for the duration of one backward() call. Graphs are confined to a
 single thread; node values may be shared read-only.
 
 Inside no_grad() the current thread records nothing: every op computes its
@@ -14,6 +18,8 @@ graph alive. Recording is per thread and on by default.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
@@ -24,13 +30,17 @@ from . import numerics
 from .numerics import assert_finite
 
 
+_creation = itertools.count()
+
+
 class Node:
-    __slots__ = ("value", "grad", "parents")
+    __slots__ = ("value", "grad", "parents", "seq")
 
     def __init__(self, value: np.ndarray, parents: tuple = ()):
         self.value = value
         self.grad: np.ndarray | None = None
         self.parents = parents  # tuple of (Node, vjp) pairs
+        self.seq = next(_creation)  # unique, so heap entries never compare Nodes
 
     @property
     def shape(self):
@@ -217,52 +227,34 @@ def cross_entropy(logits: Node, label: int) -> Node:
             _cross_entropy_vjp(g, shifted, lse, label, shape)),))
 
 
-def _toposort(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into .grad over the whole graph.
+    """Accumulate d(loss)/d(leaf) into the .grad of every leaf under loss.
 
-    The loss must be scalar. Gradients add into any existing buffers, so
-    repeated calls accumulate; call zero_grads for a fresh pass.
+    The loss must be scalar. Nodes are visited in reverse creation order, so
+    each one has every contribution from its consumers before it passes its
+    gradient on. Gradients add into any existing leaf buffers, so repeated
+    calls accumulate; call zero_grads for a fresh pass.
     """
     if loss.value.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
-    order = _toposort(loss)
-    # Per-pass gradients propagate through `local`; node.grad only exposes the
-    # running total, so repeated backward() calls accumulate instead of
-    # compounding.
-    local: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.value.dtype)}
-    for node in reversed(order):
-        g = local.pop(id(node), None)
-        if g is None:
+    pending = {loss: np.ones((), dtype=loss.value.dtype)}
+    heap = [(-loss.seq, loss)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        g = pending.pop(node)
+        if not node.parents:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
+            node.grad += g
             continue
-        if node.grad is None:
-            node.grad = np.zeros_like(node.value)
-        node.grad += g
         for parent, vjp in node.parents:
             contrib = vjp(g)
-            pid = id(parent)
-            if pid in local:
-                local[pid] = local[pid] + contrib
+            if parent in pending:
+                # Not +=: a vjp may hand back the very array it was given.
+                pending[parent] = pending[parent] + contrib
             else:
-                local[pid] = contrib
+                pending[parent] = contrib
+                heapq.heappush(heap, (-parent.seq, parent))
 
 
 def zero_grads(nodes) -> None:

@@ -47,14 +47,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = 1e-5) -> np.ndarray:
-    """Per-row normalization to mean 0, variance 1, then affine gamma/beta."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
-
-
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact Gaussian-CDF GELU: x * Phi(x). No tanh approximation."""
     return x * ndtr(x)

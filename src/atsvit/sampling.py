@@ -11,7 +11,6 @@ and the full value set.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,16 +73,6 @@ class SampleResult:
     kept: tuple[int, ...]
     k_prime: int
     psi: tuple[int, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({"kept": list(self.kept), "k_prime": self.k_prime,
-                           "psi": list(self.psi)})
-
-    @staticmethod
-    def from_json(text: str) -> "SampleResult":
-        obj = json.loads(text)
-        return SampleResult(kept=tuple(obj["kept"]), k_prime=obj["k_prime"],
-                            psi=tuple(obj["psi"]))
 
 
 def build_cdf(scores: np.ndarray, uniform_fallback: bool = False) -> ScoreVector:
@@ -186,19 +175,13 @@ def sample_indices(sv: ScoreVector, cfg: SamplerConfig,
                         psi=tuple(int(i) for i in psi))
 
 
-def refine_attention(attn, result: SampleResult):
+def refine_attention(attn: Node, result: SampleResult) -> Node:
     """Row-gather of the attention matrix at the retained indices.
 
-    Columns are untouched, so each surviving row still sums to 1. Accepts a
-    plain array or a graph Node.
+    Columns are untouched, so each surviving row still sums to 1. A kept
+    index past the last row raises IndexError.
     """
-    if isinstance(attn, Node):
-        return ag.gather_rows(attn, result.kept)
-    attn = np.asarray(attn)
-    idx = np.asarray(result.kept, dtype=np.intp)
-    if idx.max() >= attn.shape[0]:
-        raise IndexError(f"kept index {idx.max()} out of range for {attn.shape}")
-    return attn[idx].copy()
+    return ag.gather_rows(attn, result.kept)
 
 
 def sampled_attend(state: AttentionState, result: SampleResult,

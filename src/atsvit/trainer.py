@@ -172,8 +172,6 @@ def train(cfg: ModelConfig, weights: dict[str, Node],
                                     rng=Rng(seed, stream=3000 + int(j)))
                     loss = ag.scale(ag.cross_entropy(trace.logits_node,
                                                      sample.label), 1.0 / batch.size)
-                    if not np.isfinite(loss.value):
-                        raise NonFiniteError("loss is not finite")
                     ag.backward(loss)
                 except NonFiniteError as exc:
                     raise TrainingDiverged(

@@ -55,8 +55,61 @@ def test_gradient_shapes_match_values():
     b = ag.leaf(rng.normal((5, 2)))
     out = ag.gelu(ag.matmul(a, b))
     ag.backward(ag.sum_all(out))
-    for node in (a, b, out):
+    for node in (a, b):
         assert node.grad.shape == node.value.shape
+    assert out.grad is None
+
+
+def test_each_vjp_runs_once_per_backward_on_fanout_and_diamond():
+    # x feeds p, q and r (fan-out 3); p and q meet again in s (a diamond);
+    # loss reads r first, so a depth-first walk from the loss reaches the
+    # nodes in another order than they were created.
+    calls = {}
+
+    def edge(name, c):
+        calls[name] = 0
+
+        def vjp(g):
+            calls[name] += 1
+            return g * c
+        return vjp
+
+    x = ag.leaf(np.array(1.0))
+    p = ag.Node(2.0 * x.value, ((x, edge("x->p", 2.0)),))
+    q = ag.Node(3.0 * x.value, ((x, edge("x->q", 3.0)),))
+    r = ag.Node(5.0 * x.value, ((x, edge("x->r", 5.0)),))
+    s = ag.Node(p.value + q.value, ((p, edge("p->s", 1.0)), (q, edge("q->s", 1.0))))
+    loss = ag.Node(7.0 * r.value + s.value + 11.0 * p.value,
+                   ((r, edge("r->loss", 7.0)), (s, edge("s->loss", 1.0)),
+                    (p, edge("p->loss", 11.0))))
+    for n in (1, 2):
+        ag.backward(loss)
+        assert set(calls.values()) == {n}
+        # d(loss)/dx = 7*5 + (2 + 3) + 11*2
+        assert x.grad == n * 62.0
+    assert all(node.grad is None for node in (p, q, r, s, loss))
+
+
+def test_long_chain_backpropagates_without_recursion():
+    x = ag.leaf(np.array([[1.0]]))
+    c = ag.leaf(np.array([[0.5]]))
+    y = x
+    for _ in range(10_000):
+        y = ag.add(y, c)
+    ag.backward(ag.sum_all(y))
+    assert x.grad[0, 0] == 1.0
+    assert c.grad[0, 0] == 10_000.0
+
+
+def test_node_built_under_no_grad_is_a_leaf():
+    x = ag.leaf(np.array([[3.0]]))
+    w = ag.leaf(np.array([[2.0]]))
+    with ag.no_grad():
+        h = ag.mul(x, x)
+    ag.backward(ag.sum_all(ag.mul(h, w)))
+    assert h.grad[0, 0] == 2.0
+    assert w.grad[0, 0] == 9.0
+    assert x.grad is None
 
 
 def test_overflow_is_an_error():
