@@ -8,7 +8,7 @@ from .model import (ForwardTrace, ModelConfig, forward, init_weights,
 from .numerics import Rng
 from .sampling import (InverseRule, Policy, SampleResult, SamplerConfig,
                        ScoreVector, Scoring, build_cdf, compute_scores,
-                       refine_attention, sample_indices, sampled_attend)
+                       sample_indices, sampled_attend)
 from .trainer import Schedule, evaluate, fine_tune, lr_at, optim_step, train
 
 __version__ = "0.1.0"

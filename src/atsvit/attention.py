@@ -1,15 +1,17 @@
 """Multi-head self-attention that exposes its intermediates.
 
-The per-head attention matrices and value projections stay accessible on
-AttentionState so the token sampler can score tokens from them. Weights use
-a fused (d, 3d) QKV projection; head i owns columns [i*hd, (i+1)*hd) of each
-of the q/k/v column blocks, in that order.
+Every head runs at once: AttentionState holds one stacked node each for the
+queries, keys and values, shaped (heads, T, head_dim), and one for the
+row-stochastic attention matrices, shaped (heads, T, T), so the token
+sampler can score tokens from them. Weights use a fused (d, 3d) QKV
+projection; head i owns columns [i*hd, (i+1)*hd) of each of the q/k/v
+column blocks, in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import autograd as ag
 from .autograd import Node
@@ -33,48 +35,42 @@ class AttentionConfig:
 
 @dataclass
 class AttentionState:
-    """Per-head q/k/v of shape (T, head_dim) and, once computed, per-head
-    row-stochastic attention matrices of shape (T, T)."""
-    q: list[Node]
-    k: list[Node]
-    v: list[Node]
-    attn: list[Node] = field(default_factory=list)
+    """q/k/v of shape (heads, T, head_dim) and, once computed, the
+    row-stochastic attention matrices of shape (heads, T, T)."""
+    q: Node
+    k: Node
+    v: Node
+    attn: Node | None = None
 
 
 def project_qkv(tokens: Node, qkv_w: Node, qkv_b: Node,
                 cfg: AttentionConfig) -> AttentionState:
     """Fused linear projection of tokens into per-head queries/keys/values."""
-    d, hd = cfg.dim, cfg.head_dim
+    d = cfg.dim
     if qkv_w.shape != (d, 3 * d):
         raise ValueError(f"qkv weight shape {qkv_w.shape}, expected {(d, 3 * d)}")
     fused = ag.add_row(ag.matmul(tokens, qkv_w), qkv_b)
-    q, k, v = [], [], []
-    for h in range(cfg.heads):
-        q.append(ag.slice_cols(fused, h * hd, (h + 1) * hd))
-        k.append(ag.slice_cols(fused, d + h * hd, d + (h + 1) * hd))
-        v.append(ag.slice_cols(fused, 2 * d + h * hd, 2 * d + (h + 1) * hd))
+    q, k, v = (ag.split_cols(ag.slice_cols(fused, i * d, (i + 1) * d), cfg.heads)
+               for i in range(3))
     return AttentionState(q=q, k=k, v=v)
 
 
 def attention_matrix(state: AttentionState, scale_dim: int | None = None) -> AttentionState:
-    """Fill state.attn with softmax(q k^T / sqrt(scale_dim)) per head.
+    """Fill state.attn with softmax(q k^T / sqrt(scale_dim)) for every head.
 
     scale_dim defaults to the per-head width, the usual ViT convention.
     """
-    if not state.q:
-        raise ValueError("empty attention state")
-    dim = scale_dim if scale_dim is not None else state.q[0].shape[1]
+    dim = scale_dim if scale_dim is not None else state.q.shape[-1]
+    # A Python float: a np.float64 scalar would promote float32 scores.
     inv = 1.0 / math.sqrt(dim)
-    state.attn = [
-        ag.softmax_rows(ag.scale(ag.matmul(q, ag.transpose(k)), inv))
-        for q, k in zip(state.q, state.k)
-    ]
+    state.attn = ag.softmax_rows(
+        ag.scale(ag.matmul(state.q, ag.transpose(state.k)), inv))
     return state
 
 
 def attend(state: AttentionState, out_w: Node, out_b: Node) -> Node:
-    """Per-head attention-weighted value mix, concatenated and projected."""
-    if not state.attn:
+    """Attention-weighted value mix of every head, concatenated and projected."""
+    if state.attn is None:
         raise ValueError("attention_matrix was not applied")
-    mixed = [ag.matmul(a, v) for a, v in zip(state.attn, state.v)]
+    mixed = ag.matmul(state.attn, state.v)
     return ag.add_row(ag.matmul(ag.concat_cols(mixed), out_w), out_b)

@@ -115,16 +115,24 @@ def mul(a: Node, b: Node) -> Node:
                                       (b, lambda g: g * a.value)))
 
 
+def _mT(x: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack transposed (a view)."""
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Node, b: Node) -> Node:
+    """Matrix product; stacked operands multiply matrix by matrix."""
     v = numerics.matmul(a.value, b.value)
     return _make("matmul", v,
-                 _mode.recording and ((a, lambda g: g @ b.value.T),
-                                      (b, lambda g: a.value.T @ g)))
+                 _mode.recording and ((a, lambda g: g @ _mT(b.value)),
+                                      (b, lambda g: _mT(a.value) @ g)))
 
 
 def transpose(a: Node) -> Node:
-    return _make("transpose", a.value.T.copy(),
-                 _mode.recording and ((a, lambda g: g.T),))
+    """Swap the last two axes. The copy keeps the result C-contiguous, so
+    a product with it gets the same BLAS call as one with a fresh matrix."""
+    return _make("transpose", _mT(a.value).copy(),
+                 _mode.recording and ((a, _mT),))
 
 
 def softmax_rows(a: Node) -> Node:
@@ -161,16 +169,17 @@ def gelu(x: Node) -> Node:
 
 def _scatter_rows(g, idx, shape, dtype):
     out = np.zeros(shape, dtype=dtype)
-    np.add.at(out, idx, g)
+    np.add.at(out, (Ellipsis, idx, slice(None)), g)
     return out
 
 
 def gather_rows(a: Node, idx: Sequence[int]) -> Node:
-    """Select rows by index; gradient scatter-adds back (handles repeats)."""
+    """Select rows (axis -2, so the rows of every matrix of a stack) by
+    index; the gradient scatter-adds back (handles repeats)."""
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[0]):
+    if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[-2]):
         raise IndexError(f"row index out of range for shape {a.shape}")
-    return _make("gather_rows", a.value[idx].copy(), _mode.recording and (
+    return _make("gather_rows", a.value[..., idx, :].copy(), _mode.recording and (
         (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
             _scatter_rows(g, idx, shape, dtype)),))
 
@@ -187,13 +196,25 @@ def slice_cols(a: Node, start: int, stop: int) -> Node:
             _pad_cols(g, start, stop, shape, dtype)),))
 
 
-def concat_cols(nodes: Sequence[Node]) -> Node:
-    widths = [n.value.shape[1] for n in nodes]
-    offsets = np.cumsum([0] + widths)
-    return _make("concat_cols", np.concatenate([n.value for n in nodes], axis=1),
-                 _mode.recording and tuple(
-                     (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[:, s:e]))
-                     for i, n in enumerate(nodes)))
+def _merge_cols(x: np.ndarray) -> np.ndarray:
+    """(n, m, w) -> (m, n*w): matrix i of the stack becomes column block i."""
+    n, m, w = x.shape
+    return x.transpose(1, 0, 2).reshape(m, n * w)
+
+
+def split_cols(a: Node, n: int) -> Node:
+    """(m, n*w) -> (n, m, w): column block i becomes matrix i of a stack."""
+    m, cols = a.value.shape
+    return _make("split_cols",
+                 a.value.reshape(m, n, cols // n).transpose(1, 0, 2).copy(),
+                 _mode.recording and ((a, _merge_cols),))
+
+
+def concat_cols(a: Node) -> Node:
+    """(n, m, w) -> (m, n*w), the inverse of split_cols."""
+    n, m, w = a.value.shape
+    return _make("concat_cols", _merge_cols(a.value), _mode.recording and (
+        (a, lambda g: g.reshape(m, n, w).transpose(1, 0, 2)),))
 
 
 def concat_rows(nodes: Sequence[Node]) -> Node:

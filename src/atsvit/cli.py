@@ -3,7 +3,7 @@
 Every command is deterministic given its flags; seeds are explicit and no
 output embeds timestamps.
 
-Emitted schemas (all carry schema=1 and are validated on read-back):
+Emitted schemas (all carry schema=1):
   metrics CSV   epoch, split, loss, top1, mean_kprime_per_stage, mean_macs
                 (mean_kprime_per_stage is "stage:mean;stage:mean", empty
                 without sampling stages)
@@ -119,27 +119,10 @@ def write_metrics_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def read_metrics_csv(path: str) -> list[dict]:
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    for row in rows:
-        if row.get("schema") != "1":
-            raise ValueError(f"{path}: unsupported metrics schema {row.get('schema')!r}")
-    return rows
-
-
 def write_json(path: str, obj: dict) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def read_json(path: str) -> dict:
-    with open(path) as f:
-        obj = json.load(f)
-    if obj.get("schema") != 1:
-        raise ValueError(f"{path}: unsupported schema {obj.get('schema')!r}")
-    return obj
 
 
 def cmd_train(args) -> int:
@@ -261,15 +244,6 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     return 0
-
-
-def read_sweep_csv(path: str) -> list[dict]:
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    for row in rows:
-        if row.get("schema") != "1":
-            raise ValueError(f"{path}: unsupported sweep schema {row.get('schema')!r}")
-    return rows
 
 
 def cmd_masks(args) -> int:

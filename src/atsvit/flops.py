@@ -33,30 +33,6 @@ class FlopsReport:
     total_macs: int
     estimate_excludes: tuple[str, ...] = ESTIMATE_EXCLUDES
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "embed_macs": self.embed_macs,
-            "head_macs": self.head_macs,
-            "total_macs": self.total_macs,
-            "per_stage": [
-                {"attn_macs": s.attn_macs, "mlp_macs": s.mlp_macs,
-                 "tokens_in": s.tokens_in, "tokens_out": s.tokens_out}
-                for s in self.per_stage
-            ],
-            "estimate_excludes": list(self.estimate_excludes),
-        }
-
-    def csv_row(self) -> dict:
-        return {
-            "schema": 1,
-            "embed_macs": self.embed_macs,
-            "head_macs": self.head_macs,
-            "attn_macs": sum(s.attn_macs for s in self.per_stage),
-            "mlp_macs": sum(s.mlp_macs for s in self.per_stage),
-            "total_macs": self.total_macs,
-        }
-
 
 def block_macs(t_in: int, t_out: int, d: int, h: int,
                mlp_ratio: int) -> tuple[int, int]:

@@ -179,10 +179,6 @@ def as_nodes(arrays: dict[str, np.ndarray], dtype=FAST_DTYPE) -> dict[str, Node]
     return {name: ag.leaf(a.astype(dtype)) for name, a in arrays.items()}
 
 
-def parameter_count(weights: dict[str, Node]) -> int:
-    return sum(w.value.size for w in weights.values())
-
-
 def extract_patches(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Flatten non-overlapping patches in raster order (rows of patches,
     then columns); each row is one patch, row-major within the patch."""
@@ -230,9 +226,7 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
         state = attention_matrix(project_qkv(normed, weights[p + "qkv.w"],
                                              weights[p + "qkv.b"], acfg))
         if i in cfg.ats_stages:
-            sv = compute_scores([a.value for a in state.attn],
-                                [v.value for v in state.v],
-                                cfg.scoring, rng)
+            sv = compute_scores(state.attn.value, state.v.value, cfg.scoring, rng)
             result = sample_indices(sv, cfg.sampler, rng)
             attn_out = sampled_attend(state, result,
                                       weights[p + "out.w"], weights[p + "out.b"])

@@ -31,8 +31,11 @@ def assert_finite(name: str, x: np.ndarray) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product with an explicit shape check. Operands of equal
+    ndim > 2 are stacks of matrices with equal leading dims, multiplied
+    pairwise (one product per head, say)."""
+    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     return a @ b
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,35 +83,33 @@ def build_cdf(scores: np.ndarray, uniform_fallback: bool = False) -> ScoreVector
     return ScoreVector(scores=scores, cdf=cdf, uniform_fallback=uniform_fallback)
 
 
-def compute_scores(attn: Sequence[np.ndarray], values: Sequence[np.ndarray],
+def compute_scores(attn: np.ndarray, values: np.ndarray,
                    method: Scoring = Scoring.CLS_VNORM,
                    rng: Rng | None = None) -> ScoreVector:
-    """Significance scores from per-head attention matrices and value rows.
+    """Significance scores from stacked attention matrices (heads, T, T) and
+    value rows (heads, T, head_dim).
 
-    Per-head unnormalized scores are summed over heads, then normalized once.
-    If every unnormalized score is zero (e.g. all-zero values early in
-    training) the result falls back to uniform and is flagged.
+    Per-head unnormalized scores are summed over heads in head order, then
+    normalized once. If every unnormalized score is zero (e.g. all-zero
+    values early in training) the result falls back to uniform and is
+    flagged.
     """
-    n = attn[0].shape[0] - 1
+    n = attn.shape[-1] - 1
     if n < 1:
         raise ValueError("need at least one non-CLS token to score")
-    total = np.zeros(n, dtype=np.float64)
-    for h, a in enumerate(attn):
-        if method is Scoring.CLS_VNORM:
-            raw = a[0, 1:] * np.linalg.norm(values[h][1:], axis=1)
-        elif method is Scoring.CLS:
-            raw = a[0, 1:].copy()
-        elif method is Scoring.ROWSUM:
-            raw = a[:, 1:].sum(axis=0)
-        elif method is Scoring.RANDOM_TOKEN:
-            if rng is None:
-                raise ValueError("random-token scoring requires an rng")
-            if h == 0:
-                row = 1 + rng.integers(0, n)
-            raw = a[row, 1:].copy()
-        else:
-            raise ValueError(f"unknown scoring method {method}")
-        total += raw
+    if method is Scoring.CLS_VNORM:
+        raw = attn[:, 0, 1:] * np.linalg.norm(values[:, 1:], axis=-1)
+    elif method is Scoring.CLS:
+        raw = attn[:, 0, 1:]
+    elif method is Scoring.ROWSUM:
+        raw = attn[:, :, 1:].sum(axis=-2)
+    elif method is Scoring.RANDOM_TOKEN:
+        if rng is None:
+            raise ValueError("random-token scoring requires an rng")
+        raw = attn[:, 1 + rng.integers(0, n), 1:]
+    else:
+        raise ValueError(f"unknown scoring method {method}")
+    total = raw.astype(np.float64).sum(axis=0)
     mass = total.sum()
     if mass == 0.0:
         return build_cdf(np.full(n, 1.0 / n), uniform_fallback=True)
@@ -175,21 +172,13 @@ def sample_indices(sv: ScoreVector, cfg: SamplerConfig,
                         psi=tuple(int(i) for i in psi))
 
 
-def refine_attention(attn: Node, result: SampleResult) -> Node:
-    """Row-gather of the attention matrix at the retained indices.
-
-    Columns are untouched, so each surviving row still sums to 1. A kept
-    index past the last row raises IndexError.
-    """
-    return ag.gather_rows(attn, result.kept)
-
-
 def sampled_attend(state: AttentionState, result: SampleResult,
                    out_w: Node, out_b: Node) -> Node:
-    """Soft downsampling: refined per-head attention times the full value
-    set, concatenated across heads and projected. Output row 0 is CLS."""
-    if not state.attn:
+    """Soft downsampling: every head's attention rows at the retained
+    indices (columns untouched, so each row still sums to 1) times the full
+    value set, concatenated across heads and projected. Output row 0 is
+    CLS."""
+    if state.attn is None:
         raise ValueError("attention_matrix was not applied")
-    mixed = [ag.matmul(refine_attention(a, result), v)
-             for a, v in zip(state.attn, state.v)]
+    mixed = ag.matmul(ag.gather_rows(state.attn, result.kept), state.v)
     return ag.add_row(ag.matmul(ag.concat_cols(mixed), out_w), out_b)

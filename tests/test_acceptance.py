@@ -145,8 +145,7 @@ def test_criterion_04_gradient_fidelity():
         state = attention_matrix(project_qkv(
             ag.layer_norm(ag.leaf(tokens), ws["g1"], ws["b1"]),
             ws["qw"], ws["qb"], acfg))
-        sv = compute_scores([a.value for a in state.attn],
-                            [v.value for v in state.v])
+        sv = compute_scores(state.attn.value, state.v.value)
         frozen = sample_indices(sv, SamplerConfig(k=3))
         target = rng.normal((frozen.k_prime + 1, d))
 
@@ -167,9 +166,9 @@ def test_criterion_05_normalization_suite():
     for n in (1, 4, 16, 64, 256):
         for heads in (1, 2, 4):
             rng = Rng(n * 10 + heads, stream=5)
-            attn = [softmax_rows(rng.normal((n + 1, n + 1), 2.0))
-                    for _ in range(heads)]
-            values = [rng.normal((n + 1, 4)) for _ in range(heads)]
+            attn = np.stack([softmax_rows(rng.normal((n + 1, n + 1), 2.0))
+                             for _ in range(heads)])
+            values = np.stack([rng.normal((n + 1, 4)) for _ in range(heads)])
             for a in attn:
                 worst_row = max(worst_row, float(np.abs(a.sum(axis=1) - 1).max()))
             for variant in Scoring:

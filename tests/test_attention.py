@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from atsvit import autograd as ag
 from atsvit.attention import (AttentionConfig, attend, attention_matrix,
                               project_qkv)
 from atsvit.numerics import Rng, softmax_rows
+from atsvit.sampling import SampleResult, sampled_attend
 
 
 def identity_qkv(d):
@@ -42,7 +45,8 @@ class TestProjectQkv:
         w, b = identity_qkv(d)
         state = project_qkv(ag.leaf(tokens), w, b, AttentionConfig(d, 1))
         for part in (state.q, state.k, state.v):
-            assert np.allclose(part[0].value, tokens)
+            assert part.shape == (1, 3, d)
+            assert np.allclose(part.value[0], tokens)
 
     def test_zero_weights(self):
         d = 4
@@ -50,8 +54,7 @@ class TestProjectQkv:
                             ag.leaf(np.zeros((d, 3 * d))), ag.leaf(np.zeros(3 * d)),
                             AttentionConfig(d, 2))
         for part in (state.q, state.k, state.v):
-            for head in part:
-                assert np.array_equal(head.value, np.zeros((3, 2)))
+            assert np.array_equal(part.value, np.zeros((2, 3, 2)))
 
     def test_matches_reference_oracle(self):
         rng = Rng(42)
@@ -73,7 +76,7 @@ class TestProjectQkv:
         w, b = identity_qkv(d)
         state = project_qkv(ag.leaf(tokens), w, b, AttentionConfig(d, heads))
         for h in range(heads):
-            assert np.allclose(state.q[h].value, tokens[:, 2 * h:2 * h + 2])
+            assert np.allclose(state.q.value[h], tokens[:, 2 * h:2 * h + 2])
 
 
 class TestAttentionMatrix:
@@ -81,23 +84,25 @@ class TestAttentionMatrix:
         cfg = AttentionConfig(4, 1)
         state = attention_matrix(project_qkv(ag.leaf(Rng(0).normal((1, 4))),
                                              *identity_qkv(4), cfg))
-        assert np.allclose(state.attn[0].value, [[1.0]])
+        assert np.allclose(state.attn.value, [[[1.0]]])
 
     def test_identical_keys_uniform(self):
         d = 4
         tokens = np.tile(Rng(0).normal((1, d)), (2, 1))
         state = attention_matrix(project_qkv(ag.leaf(tokens), *identity_qkv(d),
                                              AttentionConfig(d, 1)))
-        assert np.allclose(state.attn[0].value, 0.5)
+        assert state.attn.shape == (1, 2, 2)
+        assert np.allclose(state.attn.value, 0.5)
 
     def test_head_dim_one_closed_form(self):
         # q=[1], k=[0, ln4], scale sqrt(1): softmax([0, ln4]) = [0.2, 0.8]
         from atsvit.attention import AttentionState
         q = np.array([[1.0], [1.0]])
         k = np.array([[0.0], [np.log(4.0)]])
-        state = AttentionState(q=[ag.leaf(q)], k=[ag.leaf(k)], v=[ag.leaf(k)])
+        state = AttentionState(q=ag.leaf(q[None]), k=ag.leaf(k[None]),
+                               v=ag.leaf(k[None]))
         attention_matrix(state)
-        assert np.allclose(state.attn[0].value[0], [0.2, 0.8])
+        assert np.allclose(state.attn.value[0, 0], [0.2, 0.8])
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
@@ -107,9 +112,9 @@ class TestAttentionMatrix:
         state = attention_matrix(project_qkv(ag.leaf(rng.normal((t, d), 2.0)),
                                              *random_weights(rng, d)[:2],
                                              AttentionConfig(d, heads)))
-        for a in state.attn:
-            assert np.allclose(a.value.sum(axis=1), 1.0, atol=1e-9)
-            assert (a.value >= 0).all()
+        assert state.attn.shape == (heads, t, t)
+        assert np.allclose(state.attn.value.sum(axis=-1), 1.0, atol=1e-9)
+        assert (state.attn.value >= 0).all()
 
 
 class TestAttend:
@@ -119,9 +124,9 @@ class TestAttend:
         cfg = AttentionConfig(d, 2)
         qw, qb, ow, ob = random_weights(rng, d)
         state = project_qkv(ag.leaf(rng.normal((t, d))), qw, qb, cfg)
-        state.attn = [ag.leaf(np.eye(t)) for _ in range(cfg.heads)]
+        state.attn = ag.leaf(np.stack([np.eye(t)] * cfg.heads))
         out = attend(state, ow, ob)
-        vcat = np.concatenate([v.value for v in state.v], axis=1)
+        vcat = np.concatenate(list(state.v.value), axis=1)
         assert np.allclose(out.value, vcat @ ow.value + ob.value)
 
     def test_uniform_attention_averages_values(self):
@@ -129,9 +134,9 @@ class TestAttend:
         d, t = 4, 5
         cfg = AttentionConfig(d, 1)
         state = project_qkv(ag.leaf(rng.normal((t, d))), *identity_qkv(d), cfg)
-        state.attn = [ag.leaf(np.full((t, t), 1.0 / t))]
+        state.attn = ag.leaf(np.full((1, t, t), 1.0 / t))
         out = attend(state, ag.leaf(np.eye(d)), ag.leaf(np.zeros(d)))
-        mean_row = state.v[0].value.mean(axis=0)
+        mean_row = state.v.value[0].mean(axis=0)
         assert np.allclose(out.value, np.tile(mean_row, (t, 1)))
 
     def test_matches_reference_oracle_seeded(self):
@@ -146,6 +151,45 @@ class TestAttend:
             ref = reference_attention(tokens, qw.value, qb.value, ow.value,
                                       ob.value, heads)
             assert np.allclose(out.value, ref, atol=1e-6)
+
+
+def per_head_reference(tokens, qkv_w, qkv_b, out_w, out_b, heads, kept=None):
+    """One head at a time with 2-D numpy products, in the tape's operation
+    order: the bit-level oracle for the stacked ops."""
+    d = tokens.shape[1]
+    hd = d // heads
+    inv = 1.0 / math.sqrt(hd)
+    fused = tokens @ qkv_w + qkv_b
+    mixed = []
+    for h in range(heads):
+        q, k, v = (fused[:, i * d + h * hd:i * d + (h + 1) * hd].copy()
+                   for i in range(3))
+        a = softmax_rows((q @ k.T.copy()) * inv)
+        if kept is not None:
+            a = a[list(kept)]
+        mixed.append(a @ v)
+    return np.concatenate(mixed, axis=1) @ out_w + out_b
+
+
+def test_stacked_heads_bitwise_equal_per_head_loop_float32():
+    for seed in range(5):
+        rng = Rng(seed, stream=7)
+        d, heads, t = 16, 4, 10
+        tokens = rng.normal((t, d)).astype(np.float32)
+        weights = [ag.leaf(w.value.astype(np.float32))
+                   for w in random_weights(rng, d)]
+        qw, qb, ow, ob = weights
+        raw = [w.value for w in weights]
+        state = attention_matrix(project_qkv(ag.leaf(tokens), qw, qb,
+                                             AttentionConfig(d, heads)))
+        out = attend(state, ow, ob).value
+        assert out.dtype == np.float32
+        assert np.array_equal(out, per_head_reference(tokens, *raw, heads))
+        kept = (0, 2, 3, 7)
+        sampled = sampled_attend(state, SampleResult(kept, 3, (2, 3, 7)),
+                                 ow, ob).value
+        assert np.array_equal(sampled,
+                              per_head_reference(tokens, *raw, heads, kept))
 
 
 def test_permutation_equivariance():
@@ -186,7 +230,7 @@ def test_single_head_equals_multi_head_with_one_head():
     fused = tokens @ qw.value + qb.value
     q, k, v = fused[:, :d], fused[:, d:2 * d], fused[:, 2 * d:]
     a = softmax_rows(q @ k.T / np.sqrt(d))
-    assert np.array_equal(state.attn[0].value, a)
+    assert np.array_equal(state.attn.value[0], a)
     out = attend(state, ow, ob)
     assert np.array_equal(out.value, (a @ v) @ ow.value + ob.value)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from atsvit import autograd as ag
+from atsvit import numerics
 from atsvit.numerics import NonFiniteError, Rng
 
 
@@ -121,10 +122,12 @@ def test_overflow_is_an_error():
 
 
 def _every_op(x, w, row):
+    stack = ag.split_cols(x, 2)
     return [ag.add(x, x), ag.add_row(x, row), ag.scale(x, 2.0), ag.mul(x, x),
-            ag.matmul(x, w), ag.transpose(x), ag.softmax_rows(x),
-            ag.layer_norm(x, row, row), ag.gelu(x), ag.gather_rows(x, (2, 0)),
-            ag.slice_cols(x, 1, 3), ag.concat_cols([x, x]),
+            ag.matmul(x, w), ag.matmul(stack, ag.transpose(stack)),
+            ag.transpose(x), ag.softmax_rows(x), ag.layer_norm(x, row, row),
+            ag.gelu(x), ag.gather_rows(x, (2, 0)), ag.gather_rows(stack, (2, 0)),
+            ag.slice_cols(x, 1, 3), stack, ag.concat_cols(stack),
             ag.concat_rows([x, x]), ag.sum_all(x),
             ag.cross_entropy(ag.gather_rows(x, (0,)), 1)]
 
@@ -238,3 +241,73 @@ def test_cross_entropy_matches_log_softmax():
     p = np.exp(z) / np.exp(z).sum()
     p[1] -= 1
     assert np.allclose(logits.grad.reshape(-1), p)
+
+
+class TestStackedOps:
+    """Ops over stacks of matrices, shaped (heads, rows, cols)."""
+
+    def _weighted(self, node, seed):
+        target = ag.leaf(Rng(seed, stream=9).normal(node.shape))
+        return ag.sum_all(ag.mul(node, target))
+
+    def test_matmul_3d_gradients(self):
+        rng = Rng(40)
+        a0, b0 = rng.normal((3, 4, 5)), rng.normal((3, 5, 2))
+        assert ag.grad_check(
+            lambda a: self._weighted(ag.matmul(a, ag.leaf(b0)), 1), a0) <= 1e-6
+        assert ag.grad_check(
+            lambda b: self._weighted(ag.matmul(ag.leaf(a0), b), 2), b0) <= 1e-6
+
+    def test_matmul_3d_equals_per_matrix_products(self):
+        rng = Rng(41)
+        a, b = rng.normal((3, 4, 5)), rng.normal((3, 5, 2))
+        out = ag.matmul(ag.leaf(a), ag.leaf(b)).value
+        for h in range(3):
+            assert np.array_equal(out[h], a[h] @ b[h])
+
+    def test_transpose_3d_gradient(self):
+        x0 = Rng(42).normal((2, 3, 4))
+        out = ag.transpose(ag.leaf(x0))
+        assert out.shape == (2, 4, 3) and out.value.flags.c_contiguous
+        assert ag.grad_check(
+            lambda x: self._weighted(ag.transpose(x), 3), x0) <= 1e-6
+
+    def test_gather_rows_3d_gradient_with_repeats(self):
+        x0 = Rng(43).normal((2, 4, 3))
+        assert ag.grad_check(
+            lambda x: self._weighted(ag.gather_rows(x, (3, 1, 1, 0)), 4),
+            x0) <= 1e-6
+
+    def test_gather_rows_3d_repeats_scatter_add(self):
+        x = ag.leaf(np.ones((2, 3, 2)))
+        ag.backward(ag.sum_all(ag.gather_rows(x, (1, 1, 2))))
+        assert np.array_equal(x.grad, np.broadcast_to([[0.0], [2.0], [1.0]],
+                                                      (2, 3, 2)))
+
+    def test_split_cols_gradient(self):
+        x0 = Rng(44).normal((3, 6))
+        assert ag.grad_check(
+            lambda x: self._weighted(ag.split_cols(x, 3), 5), x0) <= 1e-6
+
+    def test_concat_cols_gradient(self):
+        x0 = Rng(45).normal((3, 4, 2))
+        assert ag.grad_check(
+            lambda x: self._weighted(ag.concat_cols(x), 6), x0) <= 1e-6
+
+    def test_split_then_concat_round_trip(self):
+        x = Rng(46).normal((5, 12))
+        stack = ag.split_cols(ag.leaf(x), 4)
+        assert stack.shape == (4, 5, 3)
+        for i in range(4):
+            assert np.array_equal(stack.value[i], x[:, 3 * i:3 * (i + 1)])
+        assert np.array_equal(ag.concat_cols(stack).value, x)
+
+    def test_split_cols_rejects_unequal_blocks(self):
+        with pytest.raises(ValueError):
+            ag.split_cols(ag.leaf(np.ones((2, 5))), 2)
+
+    def test_numerics_matmul_rejects_mismatched_stacks(self):
+        for a, b in [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (4, 5)),
+                     ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 3, 5)), ((4,), (4,))]:
+            with pytest.raises(ValueError, match="mismatch"):
+                numerics.matmul(np.ones(a), np.ones(b))

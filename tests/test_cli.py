@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 from pathlib import Path
@@ -6,12 +7,30 @@ import numpy as np
 import pytest
 
 from atsvit import cli
-from atsvit.cli import (main, read_json, read_metrics_csv, read_sweep_csv,
-                        resolve_budget)
+from atsvit.cli import main, resolve_budget
 from atsvit.dataset import load_pgm
 from atsvit.flops import static_macs
 from atsvit.model import ModelConfig, as_nodes, load_weights, save_weights
 from atsvit.trainer import EvalResult
+
+
+def read_csv_rows(path: str) -> list[dict]:
+    """Rows of a metrics or sweep CSV; every row must carry schema 1."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    for row in rows:
+        if row.get("schema") != "1":
+            raise ValueError(f"{path}: unsupported schema {row.get('schema')!r}")
+    return rows
+
+
+def read_json(path: str) -> dict:
+    with open(path) as f:
+        obj = json.load(f)
+    if obj.get("schema") != 1:
+        raise ValueError(f"{path}: unsupported schema {obj.get('schema')!r}")
+    return obj
+
 
 TINY_ARCH = {"dim": 16, "heads": 2, "depth": 3, "mlp_ratio": 2}
 DATA = ["--n-train", "16", "--n-val", "8", "--data-seed", "5"]
@@ -46,7 +65,7 @@ class TestTrain:
         assert outs[0] == outs[1]
 
     def test_metrics_csv_emitted_and_valid(self, trained):
-        rows = read_metrics_csv(trained + ".csv")
+        rows = read_csv_rows(trained + ".csv")
         assert len(rows) == 4
         assert {r["split"] for r in rows} == {"train", "val"}
 
@@ -201,7 +220,7 @@ class TestSweep:
                    "--policies", "inverse,topk",
                    "--scorings", "cls-vnorm,cls"] + DATA)
         assert rc == 0
-        rows = read_sweep_csv(str(out))
+        rows = read_csv_rows(str(out))
         assert len(rows) == 2 * 2 * 3
         assert {r["policy"] for r in rows} == {"inverse", "topk"}
 
@@ -210,7 +229,7 @@ class TestSweep:
         main(["sweep", "--weights", trained, "--out", str(out),
               "--ats-stages", "1,2", "--budgets", "1,2,4,8,16",
               "--policies", "inverse", "--scorings", "cls-vnorm"] + DATA)
-        macs = [float(r["mean_macs"]) for r in read_sweep_csv(str(out))]
+        macs = [float(r["mean_macs"]) for r in read_csv_rows(str(out))]
         assert all(a <= b + 1e-9 for a, b in zip(macs, macs[1:]))
 
     def test_deterministic(self, trained, tmp_path):
@@ -228,7 +247,7 @@ class TestSweep:
                    "--ats-stages", "1,2", "--mac-fraction", "0.8",
                    "--policies", "inverse", "--scorings", "cls-vnorm"] + DATA)
         assert rc == 0
-        rows = read_sweep_csv(str(out))
+        rows = read_csv_rows(str(out))
         assert len(rows) == 1
         assert float(rows[0]["mac_fraction"]) <= 0.8 + 1e-6
 
@@ -238,7 +257,7 @@ class TestSweep:
         frac, grid = tmp_path / "frac.csv", tmp_path / "grid.csv"
         assert main(["sweep", "--out", str(frac),
                      "--mac-fraction", "0.5,0.6,0.8"] + common) == 0
-        budgets = ",".join(r["k"] for r in read_sweep_csv(str(frac)))
+        budgets = ",".join(r["k"] for r in read_csv_rows(str(frac)))
         assert main(["sweep", "--out", str(grid),
                      "--budgets", budgets] + common) == 0
         assert frac.read_bytes() == grid.read_bytes()
@@ -295,7 +314,7 @@ class TestFinetuneCommand:
         rc = main(["finetune", "--weights", trained, "--out", str(out),
                    "--ats-stages", "1,2"] + DATA + FAST)
         assert rc == 0
-        rows = read_metrics_csv(str(out) + ".csv")
+        rows = read_csv_rows(str(out) + ".csv")
         # sampling was active during fine-tuning at the full budget
         val = [r for r in rows if r["split"] == "val"][-1]
         assert "1:" in val["mean_kprime_per_stage"]

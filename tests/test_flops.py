@@ -94,15 +94,6 @@ class TestModelMacs:
         with pytest.raises(ValueError, match="chained"):
             model_macs(trace, self.cfg)
 
-    def test_json_and_csv_shapes(self):
-        trace = forward(Rng(1).uniform((32, 32, 1)), self.cfg, self.weights)
-        report = model_macs(trace, self.cfg)
-        obj = report.to_json_dict()
-        assert obj["schema"] == 1
-        assert len(obj["per_stage"]) == self.cfg.depth
-        row = report.csv_row()
-        assert row["total_macs"] == report.total_macs
-
 
 def test_budget_monotonicity_on_refinement_ladder():
     """Raising the budget along a refinement ladder (each step an integer

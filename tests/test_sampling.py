@@ -7,7 +7,7 @@ from atsvit.attention import AttentionConfig, attend, attention_matrix, project_
 from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import (InverseRule, Policy, SampleResult, SamplerConfig,
                              Scoring, build_cdf, compute_scores,
-                             refine_attention, sample_indices, sampled_attend)
+                             sample_indices, sampled_attend)
 
 
 def brute_force_ceil(scores, k_budget):
@@ -47,55 +47,65 @@ def make_state(rng, t, d, heads):
 
 class TestComputeScores:
     def test_symmetric_cls_row(self):
-        attn = [np.array([[0.2, 0.4, 0.4], [0.3, 0.3, 0.4], [0.1, 0.2, 0.7]])]
-        values = [np.array([[5.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]
+        attn = np.array([[[0.2, 0.4, 0.4], [0.3, 0.3, 0.4], [0.1, 0.2, 0.7]]])
+        values = np.array([[[5.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
         sv = compute_scores(attn, values)
         assert np.allclose(sv.scores, [0.5, 0.5])
 
     def test_value_norms_reweight(self):
         # CLS row [0.1, 0.6, 0.3], norms [., 1, 2] -> (0.6, 0.6) -> (0.5, 0.5)
-        attn = [np.array([[0.1, 0.6, 0.3]] * 3)]
-        values = [np.array([[9.0, 0.0], [1.0, 0.0], [0.0, 2.0]])]
+        attn = np.array([[[0.1, 0.6, 0.3]] * 3])
+        values = np.array([[[9.0, 0.0], [1.0, 0.0], [0.0, 2.0]]])
         sv = compute_scores(attn, values)
         assert np.allclose(sv.scores, [0.5, 0.5])
         assert not sv.uniform_fallback
 
     def test_zero_values_fall_back_to_uniform(self):
-        attn = [softmax_rows(Rng(0).normal((4, 4)))]
-        values = [np.zeros((4, 2))]
+        attn = softmax_rows(Rng(0).normal((1, 4, 4)))
+        values = np.zeros((1, 4, 2))
         sv = compute_scores(attn, values)
         assert sv.uniform_fallback
         assert np.allclose(sv.scores, 1 / 3)
 
     def test_cls_variant_ignores_value_norms(self):
-        attn = [np.array([[0.1, 0.6, 0.3]] * 3)]
-        values = [np.array([[9.0, 0.0], [1.0, 0.0], [0.0, 2.0]])]
+        attn = np.array([[[0.1, 0.6, 0.3]] * 3])
+        values = np.array([[[9.0, 0.0], [1.0, 0.0], [0.0, 2.0]]])
         sv = compute_scores(attn, values, Scoring.CLS)
         assert np.allclose(sv.scores, [0.6 / 0.9, 0.3 / 0.9])
 
     def test_rowsum_variant_sums_columns(self):
-        attn = [np.array([[0.2, 0.4, 0.4],
+        attn = np.array([[[0.2, 0.4, 0.4],
                           [0.5, 0.5, 0.0],
-                          [0.0, 0.5, 0.5]])]
-        values = [np.ones((3, 2))]
+                          [0.0, 0.5, 0.5]]])
+        values = np.ones((1, 3, 2))
         sv = compute_scores(attn, values, Scoring.ROWSUM)
         assert np.allclose(sv.scores, [1.4 / 2.3, 0.9 / 2.3])
 
     def test_random_token_variant_seeded(self):
         rng = Rng(0)
-        attn = [softmax_rows(Rng(1).normal((5, 5)))]
-        values = [Rng(2).normal((5, 2))]
+        attn = softmax_rows(Rng(1).normal((1, 5, 5)))
+        values = Rng(2).normal((1, 5, 2))
         sv1 = compute_scores(attn, values, Scoring.RANDOM_TOKEN, rng=Rng(3))
         sv2 = compute_scores(attn, values, Scoring.RANDOM_TOKEN, rng=Rng(3))
         assert np.array_equal(sv1.scores, sv2.scores)
         with pytest.raises(ValueError, match="rng"):
             compute_scores(attn, values, Scoring.RANDOM_TOKEN)
 
+    def test_random_token_draws_one_row_for_all_heads(self):
+        attn = softmax_rows(Rng(4).normal((3, 5, 5)))
+        rng = Rng(5)
+        sv = compute_scores(attn, Rng(6).normal((3, 5, 2)),
+                            Scoring.RANDOM_TOKEN, rng=rng)
+        assert rng.counter == 1
+        row = 1 + Rng(5).integers(0, 4)
+        expected = attn[:, row, 1:].sum(axis=0)
+        assert np.allclose(sv.scores, expected / expected.sum())
+
     def test_multi_head_sums_before_normalizing(self):
         a1 = np.array([[0.0, 1.0, 0.0]] * 3)
         a2 = np.array([[0.0, 0.0, 1.0]] * 3)
-        values = [np.ones((3, 2))] * 2
-        sv = compute_scores([a1, a2], values)
+        values = np.ones((2, 3, 2))
+        sv = compute_scores(np.stack([a1, a2]), values)
         norm = np.sqrt(2.0)
         assert np.allclose(sv.scores, [norm / (2 * norm), norm / (2 * norm)])
 
@@ -104,8 +114,9 @@ class TestComputeScores:
     @settings(max_examples=60, deadline=None)
     def test_normalization_all_variants(self, seed, n, heads):
         rng = Rng(seed)
-        attn = [softmax_rows(rng.normal((n + 1, n + 1), 2.0)) for _ in range(heads)]
-        values = [rng.normal((n + 1, 3)) for _ in range(heads)]
+        attn = np.stack([softmax_rows(rng.normal((n + 1, n + 1), 2.0))
+                         for _ in range(heads)])
+        values = np.stack([rng.normal((n + 1, 3)) for _ in range(heads)])
         for variant in Scoring:
             sv = compute_scores(attn, values, variant, rng=Rng(seed + 1))
             assert np.isclose(sv.scores.sum(), 1.0, atol=1e-6)
@@ -114,13 +125,14 @@ class TestComputeScores:
     def test_permutation_covariance(self):
         rng = Rng(9)
         n, heads = 8, 2
-        attn = [softmax_rows(rng.normal((n + 1, n + 1))) for _ in range(heads)]
-        values = [rng.normal((n + 1, 4)) for _ in range(heads)]
+        attn = np.stack([softmax_rows(rng.normal((n + 1, n + 1)))
+                         for _ in range(heads)])
+        values = np.stack([rng.normal((n + 1, 4)) for _ in range(heads)])
         base = compute_scores(attn, values).scores
         perm = Rng(10).permutation(n)
         full = np.concatenate([[0], 1 + perm])
-        attn_p = [a[np.ix_(full, full)] for a in attn]
-        values_p = [v[full] for v in values]
+        attn_p = attn[:, full][:, :, full]
+        values_p = values[:, full]
         permuted = compute_scores(attn_p, values_p).scores
         assert np.allclose(permuted, base[perm], atol=1e-12)
 
@@ -274,30 +286,29 @@ class TestSampleIndices:
 
 
 class TestRefineAttention:
+    """The refined attention of every head is ag.gather_rows on the stacked
+    (heads, T, T) attention matrices at the kept indices."""
+
     def test_keep_all_is_identity(self):
-        a = softmax_rows(Rng(0).normal((4, 4)))
-        res = SampleResult(kept=(0, 1, 2, 3), k_prime=3, psi=(1, 2, 3))
-        assert np.array_equal(refine_attention(ag.leaf(a), res).value, a)
+        a = softmax_rows(Rng(0).normal((2, 4, 4)))
+        assert np.array_equal(ag.gather_rows(ag.leaf(a), (0, 1, 2, 3)).value, a)
 
     def test_keep_only_cls(self):
-        a = softmax_rows(Rng(1).normal((4, 4)))
-        res = SampleResult(kept=(0,), k_prime=0, psi=())
-        out = refine_attention(ag.leaf(a), res).value
-        assert out.shape == (1, 4)
-        assert np.array_equal(out[0], a[0])
+        a = softmax_rows(Rng(1).normal((2, 4, 4)))
+        out = ag.gather_rows(ag.leaf(a), (0,)).value
+        assert out.shape == (2, 1, 4)
+        assert np.array_equal(out[:, 0], a[:, 0])
 
     def test_rows_extracted_verbatim(self):
-        a = softmax_rows(Rng(2).normal((4, 4)))
-        res = SampleResult(kept=(0, 2), k_prime=1, psi=(2,))
-        out = refine_attention(ag.leaf(a), res).value
-        assert np.array_equal(out, a[[0, 2]])
-        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
+        a = softmax_rows(Rng(2).normal((3, 4, 4)))
+        out = ag.gather_rows(ag.leaf(a), (2, 0)).value
+        assert np.array_equal(out, a[:, [2, 0]])
+        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_out_of_range_rejected(self):
-        a = softmax_rows(Rng(3).normal((3, 3)))
-        res = SampleResult(kept=(0, 7), k_prime=1, psi=(7,))
+        a = softmax_rows(Rng(3).normal((2, 3, 3)))
         with pytest.raises(IndexError):
-            refine_attention(ag.leaf(a), res)
+            ag.gather_rows(ag.leaf(a), (0, 3))
 
 
 class TestSampledAttend:
@@ -330,8 +341,7 @@ class TestSampledAttend:
             state = make_state(rng, t, d, heads)
             ow = ag.leaf(rng.normal((d, d), 0.5))
             ob = ag.leaf(rng.normal((d,), 0.2))
-            sv = compute_scores([a.value for a in state.attn],
-                                [v.value for v in state.v])
+            sv = compute_scores(state.attn.value, state.v.value)
             res = sample_indices(sv, SamplerConfig(k=4))
             sampled = sampled_attend(state, res, ow, ob)
             oracle = attend(state, ow, ob).value[list(res.kept)]
@@ -352,8 +362,7 @@ def test_gradients_with_frozen_indices_match_finite_differences():
 
     state0 = attention_matrix(project_qkv(ag.leaf(tok0), ag.leaf(qw),
                                           ag.leaf(qb), acfg))
-    sv = compute_scores([a.value for a in state0.attn],
-                        [v.value for v in state0.v])
+    sv = compute_scores(state0.attn.value, state0.v.value)
     frozen = sample_indices(sv, SamplerConfig(k=3))
     assert frozen.k_prime < t - 1  # make sure rows actually drop
     target = rng.normal((frozen.k_prime + 1, d))

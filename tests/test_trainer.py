@@ -5,6 +5,7 @@ from atsvit import autograd as ag
 from atsvit.dataset import DatasetManifest, generate
 from atsvit.model import ModelConfig, forward, init_weights
 from atsvit.numerics import Rng
+from atsvit.sampling import Scoring
 from atsvit.trainer import (OptimState, Schedule, evaluate, fine_tune, lr_at,
                             optim_step, train)
 
@@ -203,3 +204,17 @@ class TestEvaluate:
         ev = evaluate(cfg, w, val_set, seed=0)
         hist = ev.kprime_hist(0)
         assert sum(hist.values()) == len(val_set)
+
+    def test_results_independent_of_batch_size(self):
+        """Image i's cost and token counts do not depend on how many images
+        are evaluated with it."""
+        _, val_set = generate(DatasetManifest(seed=21, n_train=16, n_val=16),
+                              train=False)
+        w = init_weights(TINY, Rng(9), dtype=np.float32)
+        for scoring in (Scoring.CLS_VNORM, Scoring.RANDOM_TOKEN):
+            cfg = TINY.with_sampling((0, 1), k=6, scoring=scoring)
+            small = evaluate(cfg, w, val_set[:7], seed=3)
+            large = evaluate(cfg, w, val_set[:16], seed=3)
+            assert np.array_equal(small.macs, large.macs[:7])
+            for stage in cfg.ats_stages:
+                assert np.array_equal(small.kprime[stage], large.kprime[stage][:7])
