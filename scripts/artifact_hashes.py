@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Byte-identity check for the CLI: run a fixed recipe of train, finetune,
+eval, sweep and masks commands in process, then print one
+`sha256  relative-path` line per artifact written under OUT_DIR.
+
+Run it on two checkouts and diff the output; a refactor that keeps the
+CLI's behaviour prints identical lines. The only input read from the
+repository is perfbench/weights/baseline.atsw.
+
+    PYTHONPATH=src python scripts/artifact_hashes.py OUT_DIR > hashes.txt
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+from atsvit.cli import main as cli
+
+STORED = Path(__file__).resolve().parent.parent / "perfbench" / "weights" / "baseline.atsw"
+DATA = ["--n-train", "256", "--n-val", "64", "--quiet"]
+STAGES = "2,3,4,5"
+FINETUNES = {
+    "ft_inverse": ["--ats-stages", STAGES],
+    "ft_topk": ["--ats-stages", "1,3", "--k", "8", "--policy", "topk",
+                "--scoring", "rowsum"],
+    "ft_random": ["--ats-stages", "2,4", "--k", "6", "--policy", "random",
+                  "--scoring", "random-token", "--inverse-rule", "nearest"],
+}
+EVALS = {
+    "plain": [],
+    "inverse_k8": ["--ats-stages", STAGES, "--k", "8"],
+    "topk_k4": ["--ats-stages", "1,3", "--k", "4", "--policy", "topk"],
+}
+
+
+def sh(args: list[str]) -> None:
+    rc = cli(args)
+    if rc != 0:
+        sys.exit(f"atsvit {' '.join(args)} exited {rc}")
+
+
+def run(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    base = str(out / "train.atsw")
+    sh(["train", "--out", base, "--epochs", "2"] + DATA)
+    for name, flags in FINETUNES.items():
+        sh(["finetune", "--weights", base, "--out", str(out / f"{name}.atsw"),
+            "--epochs", "1"] + flags + DATA)
+
+    for tag, weights in (("ft", str(out / "ft_inverse.atsw")),
+                         ("stored", str(STORED))):
+        for name, flags in EVALS.items():
+            sh(["eval", "--weights", weights,
+                "--out", str(out / f"{tag}_eval_{name}.json")] + flags + DATA)
+        sh(["sweep", "--weights", weights, "--out", str(out / f"{tag}_grid.csv"),
+            "--ats-stages", STAGES, "--budgets", "1,4,8,16",
+            "--policies", "inverse,topk,random"] + DATA)
+        sh(["sweep", "--weights", weights, "--out", str(out / f"{tag}_frac.csv"),
+            "--ats-stages", STAGES, "--mac-fraction", "0.5,0.6,0.8"] + DATA)
+        sh(["masks", "--weights", weights, "--out-dir", str(out / f"{tag}_masks"),
+            "--ats-stages", STAGES, "--k", "8", "--count", "6"] + DATA)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("out_dir", type=Path)
+    out = ap.parse_args().out_dir
+    run(out)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+
+
+if __name__ == "__main__":
+    main()

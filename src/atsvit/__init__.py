@@ -9,6 +9,6 @@ from .numerics import Rng
 from .sampling import (InverseRule, Policy, SampleResult, SamplerConfig,
                        ScoreVector, Scoring, build_cdf, compute_scores,
                        sample_indices, sampled_attend)
-from .trainer import Schedule, evaluate, fine_tune, lr_at, optim_step, train
+from .trainer import Schedule, evaluate, lr_at, optim_step, train
 
 __version__ = "0.1.0"

@@ -55,14 +55,11 @@ def project_qkv(tokens: Node, qkv_w: Node, qkv_b: Node,
     return AttentionState(q=q, k=k, v=v)
 
 
-def attention_matrix(state: AttentionState, scale_dim: int | None = None) -> AttentionState:
-    """Fill state.attn with softmax(q k^T / sqrt(scale_dim)) for every head.
-
-    scale_dim defaults to the per-head width, the usual ViT convention.
-    """
-    dim = scale_dim if scale_dim is not None else state.q.shape[-1]
+def attention_matrix(state: AttentionState) -> AttentionState:
+    """Fill state.attn with softmax(q k^T / sqrt(hd)) for every head, hd the
+    per-head width (the usual ViT convention)."""
     # A Python float: a np.float64 scalar would promote float32 scores.
-    inv = 1.0 / math.sqrt(dim)
+    inv = 1.0 / math.sqrt(state.q.shape[-1])
     state.attn = ag.softmax_rows(
         ag.scale(ag.matmul(state.q, ag.transpose(state.k)), inv))
     return state

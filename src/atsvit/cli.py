@@ -9,7 +9,7 @@ Emitted schemas (all carry schema=1):
                 without sampling stages)
   sweep CSV     policy, scoring, k, top1, mean_macs, mac_fraction
                 (mac_fraction is mean_macs over the no-sampling baseline)
-  eval JSON     top1, mean_macs, macs_p50, macs_p90, baseline_macs,
+  eval JSON     top1, mean_loss, mean_macs, macs_p50, macs_p90, baseline_macs,
                 per-stage k_prime histograms and means, arch + runtime config
   masks         per image and sampling stage a PGM (kept patch = 255,
                 dropped = 0, upscaled to image size) plus a JSON with each
@@ -33,7 +33,7 @@ from .flops import static_macs
 from .model import ModelConfig, init_weights, as_nodes, forward, load_weights, save_weights
 from .numerics import FAST_DTYPE, NonFiniteError, Rng
 from .sampling import InverseRule, Policy, Scoring
-from .trainer import EvalResult, TrainingDiverged, evaluate, fine_tune, train
+from .trainer import EvalResult, TrainingDiverged, evaluate, train
 
 
 def _parse_stages(text: str) -> tuple[int, ...]:
@@ -90,15 +90,16 @@ def _manifest(args) -> DatasetManifest:
 
 
 def _arch_config(args) -> ModelConfig:
-    if args.config:
-        with open(args.config) as f:
+    if not args.config:
+        return ModelConfig()
+    with open(args.config) as f:
+        try:
             fields = json.load(f)
-        if not isinstance(fields, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        cfg = ModelConfig.from_arch_dict({**ModelConfig().arch_dict(), **fields})
-    else:
-        cfg = ModelConfig()
-    return cfg
+        except RecursionError:
+            raise ValueError(f"{args.config}: config JSON nested too deeply") from None
+    if not isinstance(fields, dict):
+        raise ValueError(f"{args.config}: config must be a JSON object")
+    return ModelConfig.from_arch_dict({**ModelConfig().arch_dict(), **fields})
 
 
 def _apply_runtime(cfg: ModelConfig, args) -> ModelConfig:
@@ -125,10 +126,10 @@ def write_json(path: str, obj: dict) -> None:
         f.write("\n")
 
 
-def cmd_train(args) -> int:
-    cfg = _apply_runtime(_arch_config(args), args)
+def _fit(cfg: ModelConfig, weights, args) -> int:
+    """Train weights under cfg (sampling stages make it a fine-tune), then
+    write the weight file and its metrics CSV."""
     train_set, val_set = generate(_manifest(args))
-    weights = init_weights(cfg, Rng(args.seed), dtype=FAST_DTYPE)
     rows = train(cfg, weights, train_set, val_set, epochs=args.epochs,
                  batch_size=args.batch_size, base_lr=args.lr,
                  weight_decay=args.weight_decay, seed=args.seed,
@@ -138,18 +139,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def cmd_train(args) -> int:
+    cfg = _apply_runtime(_arch_config(args), args)
+    return _fit(cfg, init_weights(cfg, Rng(args.seed), dtype=FAST_DTYPE), args)
+
+
 def cmd_finetune(args) -> int:
     arch, tensors = load_weights(args.weights)
-    cfg = _apply_runtime(arch, args)
-    weights = as_nodes(tensors, dtype=FAST_DTYPE)
-    train_set, val_set = generate(_manifest(args))
-    rows = fine_tune(cfg, weights, train_set, val_set, budget=cfg.sampler.k,
-                     epochs=args.epochs, batch_size=args.batch_size,
-                     base_lr=args.lr, weight_decay=args.weight_decay,
-                     seed=args.seed, log=not args.quiet)
-    save_weights(args.out, cfg, weights)
-    write_metrics_csv(args.metrics or args.out + ".csv", rows)
-    return 0
+    return _fit(_apply_runtime(arch, args), as_nodes(tensors, dtype=FAST_DTYPE), args)
 
 
 def _eval_payload(cfg: ModelConfig, weights, val_set, seed: int) -> dict:
@@ -247,6 +244,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_masks(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     arch, tensors = load_weights(args.weights)
     cfg = _apply_runtime(arch, args)
     weights = as_nodes(tensors, dtype=FAST_DTYPE)
@@ -273,15 +272,15 @@ def cmd_masks(args) -> int:
             trace = forward(np.asarray(image, dtype=np.float64), cfg, weights,
                             rng=Rng(args.seed, stream=1000 + i))
         save_pgm(out_dir / f"img{i:03d}.pgm", np.asarray(image))
-        traced = trace.to_json_dict()
         stages_obj = {}
         alive = tuple(range(cfg.num_tokens))
         for stage in sorted(trace.samples):
-            alive = trace.alive[stage]
+            res, alive = trace.samples[stage], trace.alive[stage]
             save_pgm(out_dir / f"img{i:03d}_stage{stage}.pgm", patch_mask(alive))
             stages_obj[str(stage)] = {
-                "sample": traced["samples"][str(stage)],
-                "kept_original": traced["alive"][str(stage)],
+                "sample": {"kept": list(res.kept), "k_prime": res.k_prime,
+                           "psi": list(res.psi)},
+                "kept_original": list(alive),
             }
         save_pgm(out_dir / f"img{i:03d}_final.pgm", patch_mask(alive))
         write_json(str(out_dir / f"img{i:03d}.json"),

@@ -80,7 +80,10 @@ def read(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     (hlen,) = struct.unpack("<Q", raw[6:14])
     if len(raw) < 14 + hlen:
         raise TruncatedPayloadError(f"{path}: truncated header")
-    header = json.loads(raw[14:14 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[14:14 + hlen].decode("utf-8"))
+    except RecursionError:
+        raise ContainerError(f"{path}: header JSON nested too deeply") from None
     payload = raw[14 + hlen:]
 
     tensors: dict[str, np.ndarray] = {}

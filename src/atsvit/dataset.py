@@ -20,7 +20,6 @@ from .numerics import Rng
 
 IMAGE_SIZE = 32
 NUM_CLASSES = 4
-CLASS_NAMES = ("h-bar", "v-bar", "cross", "blob")
 
 _SHAPE_MIN = 0.75    # shape pixel intensity floor
 _CLUTTER_FRAGS = 14  # distractor count at clutter level 1
@@ -169,8 +168,8 @@ def load_pgm(path: str) -> np.ndarray:
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
+    if maxval != 255 or width < 1 or height < 1:
+        raise ValueError(f"{path}: unsupported size {width}x{height} or maxval {maxval}")
     if len(raw) - pos < width * height:
         raise ValueError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=width * height, offset=pos)

@@ -5,7 +5,7 @@ Counts are MACs (1 MAC = 2 FLOPs). The attention-score matrix is charged at
 full t_in x t_in because scores are computed before sampling; savings come
 from the downsampled value mix, the output projection, and every later
 stage. Softmax, layernorm, GELU, and the sampler's own linear-cost work are
-excluded, as is conventional; the exclusions are recorded on the report.
+excluded, as is conventional.
 """
 
 from __future__ import annotations
@@ -14,31 +14,15 @@ from dataclasses import dataclass
 
 from .model import ForwardTrace, ModelConfig
 
-ESTIMATE_EXCLUDES = ("softmax", "layernorm", "gelu", "token-sampler")
-
-
-@dataclass(frozen=True)
-class StageCost:
-    attn_macs: int
-    mlp_macs: int
-    tokens_in: int
-    tokens_out: int
-
 
 @dataclass(frozen=True)
 class FlopsReport:
-    per_stage: tuple[StageCost, ...]
-    embed_macs: int
-    head_macs: int
     total_macs: int
-    estimate_excludes: tuple[str, ...] = ESTIMATE_EXCLUDES
 
 
-def block_macs(t_in: int, t_out: int, d: int, h: int,
-               mlp_ratio: int) -> tuple[int, int]:
+def block_macs(t_in: int, t_out: int, d: int, mlp_ratio: int) -> tuple[int, int]:
     """MACs of one transformer block processing t_in tokens and emitting
-    t_out. The head count h does not change the totals (per-head widths
-    cancel); it is kept for interface symmetry.
+    t_out. The head count does not enter: per-head widths cancel.
 
     attn: QKV projection 3*t_in*d^2, score matrix t_in^2*d (computed for all
     rows pre-sampling), value mix t_out*t_in*d, output projection t_out*d^2.
@@ -63,20 +47,16 @@ def model_macs(trace: ForwardTrace, cfg: ModelConfig) -> FlopsReport:
         if a_out != b_in:
             raise ValueError("trace token counts are not chained")
 
-    per_stage = []
-    for t_in, t_out in counts:
-        attn, mlp = block_macs(t_in, t_out, cfg.dim, cfg.heads, cfg.mlp_ratio)
-        per_stage.append(StageCost(attn, mlp, t_in, t_out))
     embed = cfg.num_patches * cfg.patch_size ** 2 * cfg.channels * cfg.dim
     head = cfg.dim * cfg.num_classes
-    total = embed + head + sum(s.attn_macs + s.mlp_macs for s in per_stage)
-    return FlopsReport(per_stage=tuple(per_stage), embed_macs=embed,
-                       head_macs=head, total_macs=total)
+    blocks = sum(sum(block_macs(t_in, t_out, cfg.dim, cfg.mlp_ratio))
+                 for t_in, t_out in counts)
+    return FlopsReport(total_macs=embed + head + blocks)
 
 
 def static_macs(cfg: ModelConfig) -> int:
     """Cost of the architecture with no token sampling (constant per image)."""
     t = cfg.num_tokens
-    attn, mlp = block_macs(t, t, cfg.dim, cfg.heads, cfg.mlp_ratio)
+    attn, mlp = block_macs(t, t, cfg.dim, cfg.mlp_ratio)
     embed = cfg.num_patches * cfg.patch_size ** 2 * cfg.channels * cfg.dim
     return embed + cfg.dim * cfg.num_classes + cfg.depth * (attn + mlp)

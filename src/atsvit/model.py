@@ -120,16 +120,6 @@ class ForwardTrace:
     logits: np.ndarray
     logits_node: Node | None = field(default=None, repr=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "stage_counts": [list(c) for c in self.stage_counts],
-            "samples": {str(s): {"kept": list(r.kept), "k_prime": r.k_prime,
-                                 "psi": list(r.psi)}
-                        for s, r in self.samples.items()},
-            "alive": {str(s): list(a) for s, a in self.alive.items()},
-            "logits": [float(v) for v in self.logits],
-        }
-
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     d, r = cfg.dim, cfg.mlp_ratio

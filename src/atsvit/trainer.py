@@ -1,4 +1,5 @@
-"""Training and fine-tuning for the toy ViT, with or without token sampling.
+"""Training for the toy ViT, with or without token sampling; fine-tuning is
+training with sampling stages switched on.
 
 Decoupled-weight-decay adaptive moments (bias-corrected) under a linear
 warmup plus cosine decay schedule. Runs are deterministic for a fixed seed:
@@ -9,7 +10,7 @@ fixed-order sum over the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import autograd as ag
 from .autograd import Node
 from .dataset import ShapeSample
 from .flops import model_macs
-from .model import ModelConfig, forward
+from .model import ForwardTrace, ModelConfig, forward
 from .numerics import NonFiniteError, Rng
 
 
@@ -94,9 +95,30 @@ class EvalResult:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
-def _ce_from_logits(logits: np.ndarray, label: int) -> float:
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[label])
+class _Tally:
+    """One pass's per-image metrics: correct count, loss, MACs from the
+    trace, and K' per sampling stage."""
+
+    def __init__(self, cfg: ModelConfig):
+        self.cfg, self.correct = cfg, 0
+        self.losses: list[float] = []
+        self.macs: list[int] = []
+        self.kprime: dict[int, list[int]] = {s: [] for s in cfg.ats_stages}
+
+    def add(self, trace: ForwardTrace, label: int, loss: Node) -> None:
+        self.correct += int(np.argmax(trace.logits)) == label
+        self.losses.append(float(loss.value))
+        self.macs.append(model_macs(trace, self.cfg).total_macs)
+        for stage, res in trace.samples.items():
+            self.kprime[stage].append(res.k_prime)
+
+    def result(self) -> EvalResult:
+        return EvalResult(
+            top1=self.correct / len(self.macs),
+            mean_loss=float(np.mean(self.losses)),
+            mean_macs=float(np.mean(self.macs)),
+            macs=np.array(self.macs, dtype=np.int64),
+            kprime={s: np.array(v, dtype=np.int64) for s, v in self.kprime.items()})
 
 
 def evaluate(cfg: ModelConfig, weights: dict[str, Node],
@@ -104,50 +126,38 @@ def evaluate(cfg: ModelConfig, weights: dict[str, Node],
     """Forward every sample in input order under no_grad and aggregate
     accuracy, cost, and token counts. Image i samples with
     Rng(seed, stream=1000 + i), so reruns are bit-identical."""
-    correct = 0
-    losses = []
-    macs = []
-    kprime: dict[int, list[int]] = {s: [] for s in cfg.ats_stages}
+    tally = _Tally(cfg)
     with ag.no_grad():
         for i, s in enumerate(samples):
             t = forward(s.image, cfg, weights, rng=Rng(seed, stream=1000 + i))
-            if int(np.argmax(t.logits)) == s.label:
-                correct += 1
-            losses.append(_ce_from_logits(t.logits, s.label))
-            macs.append(model_macs(t, cfg).total_macs)
-            for stage, res in t.samples.items():
-                kprime[stage].append(res.k_prime)
-    return EvalResult(
-        top1=correct / len(samples),
-        mean_loss=float(np.mean(losses)),
-        mean_macs=float(np.mean(macs)),
-        macs=np.array(macs, dtype=np.int64),
-        kprime={s: np.array(v, dtype=np.int64) for s, v in kprime.items()},
-    )
+            tally.add(t, s.label, ag.cross_entropy(t.logits_node, s.label))
+    return tally.result()
 
 
-def _metric_row(epoch: int, split: str, loss: float, top1: float,
-                cfg: ModelConfig, kprime: dict[int, float],
-                mean_macs: float) -> dict:
-    per_stage = ";".join(f"{s}:{kprime[s]:.4f}" for s in sorted(kprime))
+def _metric_row(epoch: int, split: str, loss: float, ev: EvalResult) -> dict:
+    per_stage = ";".join(f"{s}:{np.mean(v):.4f}" for s, v in sorted(ev.kprime.items()))
     return {"schema": 1, "epoch": epoch, "split": split,
-            "loss": f"{loss:.6f}", "top1": f"{top1:.6f}",
+            "loss": f"{loss:.6f}", "top1": f"{ev.top1:.6f}",
             "mean_kprime_per_stage": per_stage,
-            "mean_macs": f"{mean_macs:.1f}"}
+            "mean_macs": f"{ev.mean_macs:.1f}"}
 
 
 def train(cfg: ModelConfig, weights: dict[str, Node],
           train_set: list[ShapeSample], val_set: list[ShapeSample],
           epochs: int = 30, batch_size: int = 64, base_lr: float = 5e-4,
-          weight_decay: float = 0.01, warmup_frac: float = 0.1,
-          seed: int = 0, log: bool = False) -> list[dict]:
+          weight_decay: float = 0.01, seed: int = 0,
+          log: bool = False) -> list[dict]:
     """Cross-entropy training loop; mutates weights in place and returns the
-    per-epoch metric rows (train and val)."""
+    per-epoch metric rows (train and val). Fine-tuning is this loop with
+    sampling stages in cfg: gradients flow through the downsampled attention
+    product, and the selected indices are frozen per forward pass."""
+    if batch_size < 1:
+        raise ValueError(f"batch size must be at least 1, got {batch_size}")
     n = len(train_set)
     steps_per_epoch = max(1, math.ceil(n / batch_size))
     total_steps = epochs * steps_per_epoch
     schedule = Schedule(base_lr, total_steps,
-                        warmup_steps=int(warmup_frac * total_steps))
+                        warmup_steps=int(0.1 * total_steps))
     opt = OptimState(weight_decay=weight_decay)
     order_rng = Rng(seed, stream=7)
     rows: list[dict] = []
@@ -155,15 +165,9 @@ def train(cfg: ModelConfig, weights: dict[str, Node],
 
     for epoch in range(epochs):
         perm = order_rng.permutation(n)
-        epoch_loss = 0.0
-        epoch_correct = 0
-        epoch_macs = 0.0
-        epoch_kprime: dict[int, list[int]] = {s: [] for s in cfg.ats_stages}
-
+        tally = _Tally(cfg)
         for b in range(steps_per_epoch):
             batch = perm[b * batch_size:(b + 1) * batch_size]
-            if batch.size == 0:
-                continue
             ag.zero_grads(weights)
             for j in batch:
                 sample = train_set[int(j)]
@@ -177,37 +181,16 @@ def train(cfg: ModelConfig, weights: dict[str, Node],
                     raise TrainingDiverged(
                         f"diverged at epoch {epoch}, step {step}, "
                         f"sample {int(j)}: {exc}") from exc
-                epoch_loss += float(loss.value)
-                if int(np.argmax(trace.logits)) == sample.label:
-                    epoch_correct += 1
-                epoch_macs += model_macs(trace, cfg).total_macs
-                for stage, res in trace.samples.items():
-                    epoch_kprime[stage].append(res.k_prime)
+                tally.add(trace, sample.label, loss)
             optim_step(opt, weights, lr_at(schedule, step))
             step += 1
 
-        train_kprime = {s: float(np.mean(v)) if v else 0.0
-                        for s, v in epoch_kprime.items()}
-        rows.append(_metric_row(epoch, "train", epoch_loss / steps_per_epoch,
-                                epoch_correct / n, cfg, train_kprime,
-                                epoch_macs / n))
+        train_loss = sum(tally.losses) / steps_per_epoch  # losses carry 1/batch
+        train_ev = tally.result()
+        rows.append(_metric_row(epoch, "train", train_loss, train_ev))
         ev = evaluate(cfg, weights, val_set, seed=seed)
-        val_kprime = {s: float(np.mean(v)) for s, v in ev.kprime.items()}
-        rows.append(_metric_row(epoch, "val", ev.mean_loss, ev.top1, cfg,
-                                val_kprime, ev.mean_macs))
+        rows.append(_metric_row(epoch, "val", ev.mean_loss, ev))
         if log:
-            print(f"epoch {epoch:3d}  train loss {epoch_loss / steps_per_epoch:.4f} "
-                  f"acc {epoch_correct / n:.3f}  val acc {ev.top1:.3f}")
+            print(f"epoch {epoch:3d}  train loss {train_loss:.4f} "
+                  f"acc {train_ev.top1:.3f}  val acc {ev.top1:.3f}")
     return rows
-
-
-def fine_tune(cfg: ModelConfig, weights: dict[str, Node],
-              train_set: list[ShapeSample], val_set: list[ShapeSample],
-              budget: int | None = None, **kwargs) -> list[dict]:
-    """Further train with sampling active at the full budget (K equal to the
-    patch count unless overridden), so evaluation can sweep smaller budgets
-    afterward. Gradients flow through the downsampled attention product;
-    the selected indices are frozen per forward pass."""
-    k = cfg.num_patches if budget is None else budget
-    ft_cfg = replace(cfg, sampler=replace(cfg.sampler, k=k))
-    return train(ft_cfg, weights, train_set, val_set, **kwargs)

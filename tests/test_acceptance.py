@@ -20,7 +20,7 @@ from atsvit.model import ModelConfig, forward, init_weights
 from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import (SampleResult, SamplerConfig, Scoring, build_cdf,
                              compute_scores, sample_indices, sampled_attend)
-from atsvit.trainer import evaluate, fine_tune, train
+from atsvit.trainer import evaluate, train
 
 # locked from the reference run (see decisions ledger): defaults-sized model,
 # 1024/256 split, 30 epochs at lr 2e-3, fine-tune 8 epochs at lr 3e-4
@@ -209,8 +209,7 @@ def finetuned(baseline, toy_data):
     train_set, val_set = toy_data
     ats_cfg = cfg.with_sampling(ATS_STAGES, k=cfg.num_patches)
     ft_weights = {k: ag.leaf(v.value.copy()) for k, v in weights.items()}
-    fine_tune(ats_cfg, ft_weights, train_set, val_set,
-              budget=cfg.num_patches, **FT_KW)
+    train(ats_cfg, ft_weights, train_set, val_set, **FT_KW)
     return ats_cfg, ft_weights, evaluate(ats_cfg, ft_weights, val_set, seed=0)
 
 

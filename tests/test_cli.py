@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from atsvit import autograd as ag
 from atsvit import cli
 from atsvit.cli import main, resolve_budget
-from atsvit.dataset import load_pgm
+from atsvit.dataset import DatasetManifest, generate, load_pgm
 from atsvit.flops import static_macs
-from atsvit.model import ModelConfig, as_nodes, load_weights, save_weights
+from atsvit.model import ModelConfig, as_nodes, forward, load_weights, save_weights
+from atsvit.numerics import FAST_DTYPE, Rng
 from atsvit.trainer import EvalResult
 
 
@@ -78,6 +80,18 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", "x.atsw", "--policy", "bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_non_positive_batch_size_fails_cleanly(self, trained, tmp_path,
+                                                   capsys, command, size):
+        out = tmp_path / "m.atsw"
+        source = ["--weights", trained] if command == "finetune" else []
+        rc = main([command, "--out", str(out), "--epochs", "1", "--quiet",
+                   "--batch-size", size] + source + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: batch size")
+        assert not out.exists()
 
 
 class TestEval:
@@ -147,6 +161,18 @@ class TestMalformedWeights:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_deeply_nested_header_fails_cleanly(self, trained, tmp_path, capsys):
+        raw = Path(trained).read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[6:14])
+        blob = b"[" * 100000 + b"]" * 100000
+        bad = tmp_path / "nested.atsw"
+        bad.write_bytes(raw[:6] + struct.pack("<Q", len(blob)) + blob
+                        + raw[14 + hlen:])
+        rc = main(["eval", "--weights", str(bad),
+                   "--out", str(tmp_path / "x.json"), "--quiet"] + DATA)
+        assert rc == 1
+        assert "nested too deeply" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,message", [("eval", "non-finite"),
                                                  ("finetune", "diverged")])
     def test_nan_weights_fail_cleanly(self, trained, tmp_path, capsys,
@@ -172,6 +198,16 @@ def test_non_object_config_fails_cleanly(tmp_path, capsys, body):
                "--config", str(cfg)] + DATA + FAST)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_config_fails_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "arch.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    rc = main(["train", "--seed", "0", "--out", str(tmp_path / "m.atsw"),
+               "--config", str(cfg)] + DATA + FAST)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
 
 
 class TestResolveBudget:
@@ -295,9 +331,37 @@ class TestMasks:
                 lit_patches = int((mask[::8, ::8] == 1.0).sum())
                 assert lit_patches == len(kept) - 1
 
+    def test_json_records_each_stage_sample(self, trained, tmp_path):
+        out = tmp_path / "masks_json"
+        flags = ["--ats-stages", "0,2", "--k", "5", "--seed", "3"]
+        rc = main(["masks", "--weights", trained, "--out-dir", str(out),
+                   "--count", "2"] + flags + DATA)
+        assert rc == 0
+        arch, tensors = load_weights(trained)
+        cfg = arch.with_sampling((0, 2), k=5)
+        weights = as_nodes(tensors, dtype=FAST_DTYPE)
+        _, val = generate(DatasetManifest(seed=5, n_train=16, n_val=8), train=False)
+        for i in range(2):
+            obj = json.loads((out / f"img{i:03d}.json").read_text())
+            with ag.no_grad():
+                trace = forward(val[i].image, cfg, weights, rng=Rng(3, stream=1000 + i))
+            assert obj["stages"] == {
+                str(s): {"sample": {"kept": list(r.kept), "k_prime": r.k_prime,
+                                    "psi": list(r.psi)},
+                         "kept_original": list(trace.alive[s])}
+                for s, r in trace.samples.items()}
+            assert obj["runtime"] == cfg.runtime_dict()
+
+    def test_negative_count_fails_cleanly(self, trained, tmp_path, capsys):
+        out = tmp_path / "masks_neg"
+        rc = main(["masks", "--weights", trained, "--out-dir", str(out),
+                   "--count", "-1"] + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --count")
+        assert not out.exists()
+
     def test_external_pgm_input(self, trained, tmp_path):
         from atsvit.dataset import save_pgm
-        from atsvit.numerics import Rng
         img = tmp_path / "input.pgm"
         save_pgm(str(img), Rng(3).uniform((32, 32)))
         out = tmp_path / "masks_ext"
@@ -322,6 +386,21 @@ class TestFinetuneCommand:
         kprimes = [float(part.split(":")[1])
                    for part in val["mean_kprime_per_stage"].split(";")]
         assert all(k <= 16.0 for k in kprimes)
+
+    def test_defaults_to_full_budget(self, trained, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_train(cfg, weights, *args, **kwargs):
+            seen.append(cfg)
+            return []
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        rc = main(["finetune", "--weights", trained, "--out",
+                   str(tmp_path / "ft.atsw"), "--ats-stages", "1"] + DATA + FAST)
+        assert rc == 0
+        [cfg] = seen
+        assert cfg.ats_stages == (1,)
+        assert cfg.sampler.k == cfg.num_patches == 16
 
     def test_weight_count_preserved(self, trained, tmp_path):
         from atsvit.model import load_weights

@@ -128,6 +128,15 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             load_pgm(str(p))
 
+    @pytest.mark.parametrize("header", [b"P5 -1 32 255\n", b"P5 0 0 255\n",
+                                        b"P5 4 4 65535\n"])
+    def test_unsupported_header_fields(self, tmp_path, header):
+        # "-1 32" once read all 1024 pixel bytes as a 32x32 image
+        p = tmp_path / "neg.pgm"
+        p.write_bytes(header + bytes(1024))
+        with pytest.raises(ValueError, match="unsupported size"):
+            load_pgm(str(p))
+
     def test_comment_in_header(self, tmp_path):
         p = tmp_path / "c.pgm"
         p.write_bytes(b"P5\n# a comment\n2 2\n255\n\x00\x40\x80\xff")

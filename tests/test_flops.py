@@ -11,42 +11,47 @@ class TestBlockMacs:
     def test_no_drop_identity(self):
         # t_in == t_out == t collapses to 4td^2 + 2t^2 d
         for t, d in [(17, 64), (5, 8), (197, 384)]:
-            attn, _ = block_macs(t, t, d, 4, 4)
+            attn, _ = block_macs(t, t, d, 4)
             assert attn == 4 * t * d * d + 2 * t * t * d
 
     def test_single_retained_row_value_mix(self):
         t_in, d = 9, 16
-        attn, _ = block_macs(t_in, 1, d, 2, 4)
+        attn, _ = block_macs(t_in, 1, d, 4)
         value_mix = attn - 3 * t_in * d * d - t_in * t_in * d - 1 * d * d
         assert value_mix == t_in * d  # one output row times t_in values
 
     def test_hand_substitution(self):
-        # d=1, h=1, t_in=t_out=2, mlp_ratio=4:
+        # d=1, t_in=t_out=2, mlp_ratio=4:
         # attn = 3*2*1 + 4*1 + 2*2*1 + 2*1 = 16, mlp = 2*4*2*1 = 16
-        attn, mlp = block_macs(2, 2, 1, 1, 4)
+        attn, mlp = block_macs(2, 2, 1, 4)
         assert attn == 16
         assert mlp == 16
 
     def test_mlp_term(self):
-        _, mlp = block_macs(10, 7, 32, 4, 4)
+        _, mlp = block_macs(10, 7, 32, 4)
         assert mlp == 2 * 4 * 7 * 32 * 32
 
     def test_rejects_growth(self):
         with pytest.raises(ValueError):
-            block_macs(4, 5, 8, 2, 4)
+            block_macs(4, 5, 8, 4)
         with pytest.raises(ValueError):
-            block_macs(4, 0, 8, 2, 4)
+            block_macs(4, 0, 8, 4)
 
     def test_quadratic_in_tokens(self):
         # doubling tokens more than triples the attention-core (A) terms
         d = 64
         def core(t):
-            attn, _ = block_macs(t, t, d, 4, 4)
+            attn, _ = block_macs(t, t, d, 4)
             return attn - 3 * t * d * d - t * d * d  # score + value-mix terms
         assert core(34) > 3 * core(17)
 
     def test_head_count_is_cosmetic(self):
-        assert block_macs(17, 9, 64, 1, 4) == block_macs(17, 9, 64, 4, 4)
+        # one trace costed under 1 and 4 heads: per-head widths cancel
+        cfg = ModelConfig(heads=4).with_sampling((1, 3), k=6)
+        w = init_weights(cfg, Rng(4), dtype=np.float64)
+        trace = forward(Rng(5).uniform((32, 32, 1)), cfg, w)
+        one_head = ModelConfig(heads=1).with_sampling((1, 3), k=6)
+        assert model_macs(trace, one_head) == model_macs(trace, cfg)
 
 
 class TestModelMacs:
@@ -64,12 +69,10 @@ class TestModelMacs:
     def test_report_structure(self):
         trace = forward(Rng(1).uniform((32, 32, 1)), self.cfg, self.weights)
         report = model_macs(trace, self.cfg)
-        assert report.total_macs == (report.embed_macs + report.head_macs
-                                     + sum(s.attn_macs + s.mlp_macs
-                                           for s in report.per_stage))
-        assert report.embed_macs == 16 * 64 * 64
-        assert report.head_macs == 64 * 4
-        assert all(s.attn_macs > 0 and s.mlp_macs > 0 for s in report.per_stage)
+        embed, head = 16 * 64 * 64, 64 * 4
+        blocks = [block_macs(t_in, t_out, 64, 4) for t_in, t_out in trace.stage_counts]
+        assert all(attn > 0 and mlp > 0 for attn, mlp in blocks)
+        assert report.total_macs == embed + head + sum(map(sum, blocks))
 
     def test_dropping_tokens_reduces_cost(self):
         cfg = self.cfg.with_sampling((2, 3, 4, 5), k=4)

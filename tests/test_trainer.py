@@ -6,8 +6,8 @@ from atsvit.dataset import DatasetManifest, generate
 from atsvit.model import ModelConfig, forward, init_weights
 from atsvit.numerics import Rng
 from atsvit.sampling import Scoring
-from atsvit.trainer import (OptimState, Schedule, evaluate, fine_tune, lr_at,
-                            optim_step, train)
+from atsvit.trainer import (OptimState, Schedule, evaluate, lr_at, optim_step,
+                            train)
 
 TINY = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2, depth=2,
                    mlp_ratio=2, num_classes=4)
@@ -163,37 +163,37 @@ class TestTrain:
             assert 0.0 <= float(row["top1"]) <= 1.0
 
 
+    def test_rejects_non_positive_batch_size(self):
+        train_set, val_set = generate(TINY_DATA)
+        w = init_weights(TINY, Rng(4), dtype=np.float32)
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="batch size"):
+                train(TINY, w, train_set, val_set, epochs=1, batch_size=bad)
+
+    def test_static_train_row_matches_evaluate(self):
+        """With weights held still and no sampling, the train row counts the
+        same per-image metrics that evaluate does on the same images."""
+        train_set, val_set = generate(TINY_DATA)
+        w = init_weights(TINY, Rng(8), dtype=np.float32)
+        rows = train(TINY, w, train_set, val_set, epochs=1, batch_size=8,
+                     base_lr=0.0, weight_decay=0.0, seed=0)
+        ev = evaluate(TINY, w, train_set, seed=0)
+        assert rows[0]["top1"] == f"{ev.top1:.6f}"
+        assert rows[0]["mean_macs"] == f"{ev.mean_macs:.1f}"
+        # batches of 8 with losses scaled by 1/8: the row is the mean loss
+        assert float(rows[0]["loss"]) == pytest.approx(ev.mean_loss, abs=2e-6)
+
+
 class TestFineTune:
-    def test_no_stages_degenerates_to_train(self):
-        train_set, val_set = generate(TINY_DATA)
-        w1 = init_weights(TINY, Rng(5), dtype=np.float32)
-        w2 = init_weights(TINY, Rng(5), dtype=np.float32)
-        train(TINY, w1, train_set, val_set, epochs=1, batch_size=8,
-              base_lr=1e-3, seed=6)
-        fine_tune(TINY, w2, train_set, val_set, epochs=1, batch_size=8,
-                  base_lr=1e-3, seed=6)
-        for k in w1:
-            assert np.array_equal(w1[k].value, w2[k].value), k
-
-    def test_defaults_to_full_budget(self):
-        cfg = TINY.with_sampling((1,), k=2)
-        train_set, val_set = generate(TINY_DATA)
-        w = init_weights(cfg, Rng(6), dtype=np.float32)
-        fine_tune(cfg, w, train_set[:4], val_set[:2], epochs=1, batch_size=4,
-                  base_lr=1e-3, seed=0)
-        # budget restored to the patch count during fine-tuning
-        trace = forward(train_set[0].image, cfg.with_sampling((1,), k=cfg.num_patches),
-                        w, rng=Rng(0))
-        assert trace.samples[1].k_prime <= cfg.num_patches
-
     def test_parameter_count_unchanged(self):
         cfg = TINY.with_sampling((0,), k=3)
         train_set, val_set = generate(TINY_DATA)
         w = init_weights(cfg, Rng(7), dtype=np.float32)
         shapes = {k: v.value.shape for k, v in w.items()}
-        fine_tune(cfg, w, train_set[:4], val_set[:2], epochs=1, batch_size=4,
-                  base_lr=1e-3, seed=0)
+        rows = train(cfg, w, train_set[:4], val_set[:2], epochs=1, batch_size=4,
+                     base_lr=1e-3, seed=0)
         assert {k: v.value.shape for k, v in w.items()} == shapes
+        assert all(r["mean_kprime_per_stage"].startswith("0:") for r in rows)
 
 
 class TestEvaluate:
