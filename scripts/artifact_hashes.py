@@ -20,6 +20,9 @@ from atsvit.cli import main as cli
 STORED = Path(__file__).resolve().parent.parent / "perfbench" / "weights" / "baseline.atsw"
 DATA = ["--n-train", "256", "--n-val", "64", "--quiet"]
 STAGES = "2,3,4,5"
+# One scoring that reads attention, one that sums it, one that draws from
+# the Rng: each sweep runs them all from the shared per-image prefixes.
+SWEEP_SCORINGS = ["--scorings", "cls-vnorm,rowsum,random-token"]
 FINETUNES = {
     "ft_inverse": ["--ats-stages", STAGES],
     "ft_topk": ["--ats-stages", "1,3", "--k", "8", "--policy", "topk",
@@ -55,9 +58,10 @@ def run(out: Path) -> None:
                 "--out", str(out / f"{tag}_eval_{name}.json")] + flags + DATA)
         sh(["sweep", "--weights", weights, "--out", str(out / f"{tag}_grid.csv"),
             "--ats-stages", STAGES, "--budgets", "1,4,8,16",
-            "--policies", "inverse,topk,random"] + DATA)
+            "--policies", "inverse,topk,random"] + SWEEP_SCORINGS + DATA)
         sh(["sweep", "--weights", weights, "--out", str(out / f"{tag}_frac.csv"),
-            "--ats-stages", STAGES, "--mac-fraction", "0.5,0.6,0.8"] + DATA)
+            "--ats-stages", STAGES, "--mac-fraction", "0.5,0.6,0.8"]
+           + SWEEP_SCORINGS + DATA)
         sh(["masks", "--weights", weights, "--out-dir", str(out / f"{tag}_masks"),
             "--ats-stages", STAGES, "--k", "8", "--count", "6"] + DATA)
 

@@ -33,7 +33,7 @@ from .flops import static_macs
 from .model import ModelConfig, init_weights, as_nodes, forward, load_weights, save_weights
 from .numerics import FAST_DTYPE, NonFiniteError, Rng
 from .sampling import InverseRule, Policy, Scoring
-from .trainer import EvalResult, TrainingDiverged, evaluate, train
+from .trainer import EvalResult, PrefixCache, TrainingDiverged, evaluate, train
 
 
 def _parse_stages(text: str) -> tuple[int, ...]:
@@ -187,14 +187,15 @@ def cmd_eval(args) -> int:
 
 
 def resolve_budget(cfg: ModelConfig, weights, val_set, fractions: list[float],
-                   seed: int) -> list[tuple[int, EvalResult]]:
+                   seed: int, prefixes: PrefixCache | None = None
+                   ) -> list[tuple[int, EvalResult]]:
     """For each fraction, the largest budget whose mean MACs stay at or below
     fraction * baseline (budget 1 if none does), paired with its result.
     Every budget in 1..num_patches is evaluated once, so the answer does not
     rest on mean MACs rising with the budget."""
     baseline = static_macs(cfg)
     scan = [(k, evaluate(cfg.with_sampling(cfg.ats_stages, k=k), weights,
-                         val_set, seed=seed))
+                         val_set, seed=seed, prefixes=prefixes))
             for k in range(1, cfg.num_patches + 1)]
     return [max((p for p in scan if p[1].mean_macs <= frac * baseline),
                 key=lambda p: p[0], default=scan[0])
@@ -210,6 +211,9 @@ def cmd_sweep(args) -> int:
     policies = [Policy(p) for p in args.policies.split(",")]
     scorings = [Scoring(s) for s in args.scorings.split(",")]
     baseline = static_macs(base_cfg)
+    # Every config below shares its first sampling stage, so each image's
+    # prefix is computed once for the whole call.
+    prefixes = PrefixCache(base_cfg, weights, val_set)
 
     rows = []
     for policy in policies:
@@ -219,10 +223,11 @@ def cmd_sweep(args) -> int:
             if args.mac_fraction:
                 results = resolve_budget(combo_cfg, weights, val_set,
                                          _parse_float_list(args.mac_fraction),
-                                         args.seed)
+                                         args.seed, prefixes)
             else:
                 results = [(k, evaluate(combo_cfg.with_sampling(stages, k=k),
-                                        weights, val_set, seed=args.seed))
+                                        weights, val_set, seed=args.seed,
+                                        prefixes=prefixes))
                            for k in _parse_int_list(args.budgets)]
             for k, ev in results:
                 rows.append({

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autograd as ag
 from . import container
-from .attention import AttentionConfig, attend, attention_matrix, project_qkv
+from .attention import (AttentionConfig, AttentionState, attend,
+                        attention_matrix, project_qkv)
 from .autograd import Node
 from .numerics import FAST_DTYPE, Rng
 from .sampling import (InverseRule, Policy, SampleResult, SamplerConfig,
@@ -195,26 +196,80 @@ def patch_embed(image: np.ndarray, weights: dict[str, Node],
     return ag.add(tokens, weights["pos"])
 
 
+@dataclass
+class Prefix:
+    """One image's work that no sampling setting changes: the tokens entering
+    block `stage` (the first sampling stage, or depth without one) and, at a
+    sampling stage, that block's attention state. Nothing in it depends on
+    k, policy, scoring or the Rng, so every sampled config with the same
+    first stage can branch from it."""
+    stage: int
+    tokens: Node
+    state: AttentionState | None
+
+
+def first_stage(cfg: ModelConfig) -> int:
+    return min(cfg.ats_stages, default=cfg.depth)
+
+
+def _attention_state(tokens: Node, weights: dict[str, Node], p: str,
+                     acfg: AttentionConfig) -> AttentionState:
+    normed = ag.layer_norm(tokens, weights[p + "ln1.g"], weights[p + "ln1.b"])
+    return attention_matrix(project_qkv(normed, weights[p + "qkv.w"],
+                                        weights[p + "qkv.b"], acfg))
+
+
+def _mlp_residual(tokens: Node, weights: dict[str, Node], p: str) -> Node:
+    normed = ag.layer_norm(tokens, weights[p + "ln2.g"], weights[p + "ln2.b"])
+    hidden = ag.gelu(ag.add_row(ag.matmul(normed, weights[p + "mlp1.w"]),
+                                weights[p + "mlp1.b"]))
+    mlp_out = ag.add_row(ag.matmul(hidden, weights[p + "mlp2.w"]),
+                         weights[p + "mlp2.b"])
+    return ag.add(tokens, mlp_out)
+
+
+def forward_prefix(image: np.ndarray, cfg: ModelConfig,
+                   weights: dict[str, Node]) -> Prefix:
+    """Patch embedding, every block before the first sampling stage, and that
+    stage's LN1, QKV projection and attention matrix. Draws no random words."""
+    stage, acfg = first_stage(cfg), cfg.attn
+    tokens = patch_embed(image, weights, cfg)
+    for i in range(stage):
+        p = f"block{i}."
+        state = _attention_state(tokens, weights, p, acfg)
+        tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
+                                       weights[p + "out.b"]))
+        tokens = _mlp_residual(tokens, weights, p)
+    state = (_attention_state(tokens, weights, f"block{stage}.", acfg)
+             if stage < cfg.depth else None)
+    return Prefix(stage=stage, tokens=tokens, state=state)
+
+
 def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
-            rng: Rng | None = None) -> ForwardTrace:
+            rng: Rng | None = None, prefix: Prefix | None = None) -> ForwardTrace:
     """Run the transformer, sampling tokens at the configured stages.
 
     rng is only consumed by the random-token scoring variant and the random
     sampling policy; the default configuration is fully deterministic.
+    prefix, from forward_prefix on the same image, weights and first sampling
+    stage, skips that work; without it the pass builds its own.
     """
-    tokens = patch_embed(image, weights, cfg)
-    acfg = cfg.attn
-    stage_counts: list[tuple[int, int]] = []
+    if prefix is None:
+        prefix = forward_prefix(image, cfg, weights)
+    elif prefix.stage != first_stage(cfg):
+        raise ValueError(f"prefix ends at block {prefix.stage}, but the first "
+                         f"sampling stage is {first_stage(cfg)}")
+    tokens, acfg = prefix.tokens, cfg.attn
+    stage_counts = [(cfg.num_tokens, cfg.num_tokens)] * prefix.stage
     samples: dict[int, SampleResult] = {}
     alive: dict[int, tuple[int, ...]] = {}
     ids = tuple(range(cfg.num_tokens))
 
-    for i in range(cfg.depth):
+    for i in range(prefix.stage, cfg.depth):
         p = f"block{i}."
         t_in = tokens.shape[0]
-        normed = ag.layer_norm(tokens, weights[p + "ln1.g"], weights[p + "ln1.b"])
-        state = attention_matrix(project_qkv(normed, weights[p + "qkv.w"],
-                                             weights[p + "qkv.b"], acfg))
+        state = (prefix.state if i == prefix.stage
+                 else _attention_state(tokens, weights, p, acfg))
         if i in cfg.ats_stages:
             sv = compute_scores(state.attn.value, state.v.value, cfg.scoring, rng)
             result = sample_indices(sv, cfg.sampler, rng)
@@ -228,13 +283,7 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
             tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
                                            weights[p + "out.b"]))
         stage_counts.append((t_in, tokens.shape[0]))
-
-        normed = ag.layer_norm(tokens, weights[p + "ln2.g"], weights[p + "ln2.b"])
-        hidden = ag.gelu(ag.add_row(ag.matmul(normed, weights[p + "mlp1.w"]),
-                                    weights[p + "mlp1.b"]))
-        mlp_out = ag.add_row(ag.matmul(hidden, weights[p + "mlp2.w"]),
-                             weights[p + "mlp2.b"])
-        tokens = ag.add(tokens, mlp_out)
+        tokens = _mlp_residual(tokens, weights, p)
 
     final = ag.layer_norm(tokens, weights["norm.g"], weights["norm.b"])
     cls = ag.gather_rows(final, (0,))

@@ -18,7 +18,8 @@ from . import autograd as ag
 from .autograd import Node
 from .dataset import ShapeSample
 from .flops import model_macs
-from .model import ForwardTrace, ModelConfig, forward
+from .model import (ForwardTrace, ModelConfig, Prefix, first_stage, forward,
+                    forward_prefix)
 from .numerics import NonFiniteError, Rng
 
 
@@ -121,15 +122,62 @@ class _Tally:
             kprime={s: np.array(v, dtype=np.int64) for s, v in self.kprime.items()})
 
 
+class PrefixCache:
+    """Each image's forward_prefix, shared by every evaluate call of one
+    sweep. Keyed by image index and first sampling stage, and bound to the
+    architecture, the weight values and the sample list it is filled from,
+    since a prefix holds their results. About 22 KB per image at the default
+    architecture (float32 tokens, q/k/v and attention)."""
+
+    def __init__(self, cfg: ModelConfig, weights: dict[str, Node],
+                 samples: list[ShapeSample]):
+        self.arch = cfg.arch_dict()
+        self.weights = weights
+        self.values = [w.value for w in weights.values()]
+        self.samples = list(samples)
+        self.prefixes: dict[tuple[int, int], Prefix] = {}
+
+    def check(self, cfg: ModelConfig, weights: dict[str, Node],
+              samples: list[ShapeSample]) -> None:
+        if cfg.arch_dict() != self.arch:
+            raise ValueError("prefix cache was filled under another architecture")
+        if weights is not self.weights or any(
+                w.value is not v for w, v in zip(weights.values(), self.values)):
+            raise ValueError("prefix cache was filled with other weights")
+        if len(samples) != len(self.samples) or any(
+                a is not b for a, b in zip(samples, self.samples)):
+            raise ValueError("prefix cache was filled from other samples")
+
+    def get(self, cfg: ModelConfig, i: int) -> Prefix:
+        key = (i, first_stage(cfg))
+        if key not in self.prefixes:
+            self.prefixes[key] = forward_prefix(self.samples[i].image, cfg,
+                                                self.weights)
+        return self.prefixes[key]
+
+
+def _require_samples(samples: list[ShapeSample], what: str) -> None:
+    if not samples:
+        raise ValueError(f"{what} needs at least one sample")
+
+
 def evaluate(cfg: ModelConfig, weights: dict[str, Node],
-             samples: list[ShapeSample], seed: int = 0) -> EvalResult:
+             samples: list[ShapeSample], seed: int = 0,
+             prefixes: PrefixCache | None = None) -> EvalResult:
     """Forward every sample in input order under no_grad and aggregate
     accuracy, cost, and token counts. Image i samples with
-    Rng(seed, stream=1000 + i), so reruns are bit-identical."""
+    Rng(seed, stream=1000 + i), so reruns are bit-identical. With prefixes,
+    each image's sampling-independent prefix is computed once per cache and
+    reused by every later call with the same first sampling stage."""
+    _require_samples(samples, "evaluate")
+    if prefixes is not None:
+        prefixes.check(cfg, weights, samples)
     tally = _Tally(cfg)
     with ag.no_grad():
         for i, s in enumerate(samples):
-            t = forward(s.image, cfg, weights, rng=Rng(seed, stream=1000 + i))
+            prefix = None if prefixes is None else prefixes.get(cfg, i)
+            t = forward(s.image, cfg, weights, rng=Rng(seed, stream=1000 + i),
+                        prefix=prefix)
             tally.add(t, s.label, ag.cross_entropy(t.logits_node, s.label))
     return tally.result()
 
@@ -153,8 +201,10 @@ def train(cfg: ModelConfig, weights: dict[str, Node],
     product, and the selected indices are frozen per forward pass."""
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
+    _require_samples(train_set, "train")
+    _require_samples(val_set, "train's validation pass")
     n = len(train_set)
-    steps_per_epoch = max(1, math.ceil(n / batch_size))
+    steps_per_epoch = math.ceil(n / batch_size)
     total_steps = epochs * steps_per_epoch
     schedule = Schedule(base_lr, total_steps,
                         warmup_steps=int(0.1 * total_steps))

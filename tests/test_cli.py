@@ -221,7 +221,7 @@ class TestResolveBudget:
         calls = []
         baseline = static_macs(self.CFG)
 
-        def fake_evaluate(cfg, weights, samples, seed=0):
+        def fake_evaluate(cfg, weights, samples, seed=0, prefixes=None):
             k = cfg.sampler.k
             calls.append(k)
             return EvalResult(top1=k / 100, mean_loss=0.0,

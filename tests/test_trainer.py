@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from atsvit import autograd as ag
 from atsvit.dataset import DatasetManifest, generate
-from atsvit.model import ModelConfig, forward, init_weights
+from atsvit.model import ModelConfig, forward, forward_prefix, init_weights
 from atsvit.numerics import Rng
-from atsvit.sampling import Scoring
-from atsvit.trainer import (OptimState, Schedule, evaluate, lr_at, optim_step,
-                            train)
+from atsvit.sampling import Policy, Scoring
+from atsvit.trainer import (OptimState, PrefixCache, Schedule, evaluate, lr_at,
+                            optim_step, train)
 
 TINY = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2, depth=2,
                    mlp_ratio=2, num_classes=4)
@@ -170,6 +172,13 @@ class TestTrain:
             with pytest.raises(ValueError, match="batch size"):
                 train(TINY, w, train_set, val_set, epochs=1, batch_size=bad)
 
+    def test_rejects_empty_sample_lists(self):
+        train_set, val_set = generate(TINY_DATA)
+        w = init_weights(TINY, Rng(4), dtype=np.float32)
+        for tr, va in (([], val_set), (train_set, [])):
+            with pytest.raises(ValueError, match="at least one sample"):
+                train(TINY, w, tr, va, epochs=1, batch_size=8)
+
     def test_static_train_row_matches_evaluate(self):
         """With weights held still and no sampling, the train row counts the
         same per-image metrics that evaluate does on the same images."""
@@ -205,6 +214,11 @@ class TestEvaluate:
         hist = ev.kprime_hist(0)
         assert sum(hist.values()) == len(val_set)
 
+    def test_rejects_empty_sample_list(self):
+        w = init_weights(TINY, Rng(9), dtype=np.float32)
+        with pytest.raises(ValueError, match="at least one sample"):
+            evaluate(TINY, w, [], seed=0)
+
     def test_results_independent_of_batch_size(self):
         """Image i's cost and token counts do not depend on how many images
         are evaluated with it."""
@@ -218,3 +232,86 @@ class TestEvaluate:
             assert np.array_equal(small.macs, large.macs[:7])
             for stage in cfg.ats_stages:
                 assert np.array_equal(small.kprime[stage], large.kprime[stage][:7])
+
+
+class TestPrefixCache:
+    """Sweeps share each image's prefix (everything before the first sampling
+    stage, plus that stage's attention) across configs."""
+    SIX = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2, depth=6,
+                      mlp_ratio=2, num_classes=4)
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        _, val_set = generate(TINY_DATA, train=False)
+        return init_weights(self.SIX, Rng(11), dtype=np.float32), val_set[:4]
+
+    def configs(self):
+        for stages in ((2, 3, 4, 5), (1, 3)):
+            for policy in Policy:
+                for scoring in Scoring:
+                    for k in (1, 8, 16):
+                        yield self.SIX.with_sampling(stages, k=k, policy=policy,
+                                                     scoring=scoring)
+
+    def test_shared_cache_matches_uncached_evaluate(self, setup):
+        w, samples = setup
+        cache = PrefixCache(self.SIX, w, samples)
+        for cfg in self.configs():
+            cached = evaluate(cfg, w, samples, seed=5, prefixes=cache)
+            plain = evaluate(cfg, w, samples, seed=5)
+            assert cached.top1 == plain.top1, cfg.runtime_dict()
+            assert cached.mean_loss == plain.mean_loss, cfg.runtime_dict()
+            assert np.array_equal(cached.macs, plain.macs), cfg.runtime_dict()
+            for stage in cfg.ats_stages:
+                assert np.array_equal(cached.kprime[stage], plain.kprime[stage])
+        assert sorted(cache.prefixes) == [(i, s) for i in range(4) for s in (1, 2)]
+
+    def test_forward_with_prefix_is_byte_equal(self, setup):
+        """The prefix draws no random words: a pass that starts from it hands
+        the sampler the Rng exactly where a full pass would."""
+        w, samples = setup
+        with ag.no_grad():
+            for cfg in self.configs():
+                image = samples[0].image
+                prefix = forward_prefix(image, cfg, w)
+                a = forward(image, cfg, w, rng=Rng(5, stream=1000), prefix=prefix)
+                b = forward(image, cfg, w, rng=Rng(5, stream=1000))
+                assert a.logits.tobytes() == b.logits.tobytes(), cfg.runtime_dict()
+                assert a.samples == b.samples and a.stage_counts == b.stage_counts
+
+    def test_prefix_of_another_first_stage_is_refused(self, setup):
+        w, samples = setup
+        prefix = forward_prefix(samples[0].image, self.SIX.with_sampling((2,)), w)
+        with pytest.raises(ValueError, match="first sampling stage"):
+            forward(samples[0].image, self.SIX.with_sampling((1, 3)), w,
+                    prefix=prefix)
+
+    def test_bound_to_its_weights_samples_and_architecture(self, setup):
+        w, samples = setup
+        cfg = self.SIX.with_sampling((2, 3), k=4)
+        cache = PrefixCache(self.SIX, w, samples)
+        evaluate(cfg, w, samples, prefixes=cache)
+        evaluate(cfg, w, list(samples), prefixes=cache)  # a copy of the list is fine
+        other = init_weights(self.SIX, Rng(12), dtype=np.float32)
+        with pytest.raises(ValueError, match="other weights"):
+            evaluate(cfg, other, samples, prefixes=cache)
+        with pytest.raises(ValueError, match="other weights"):
+            evaluate(cfg, dict(w), samples, prefixes=cache)  # even of the same arrays
+        with pytest.raises(ValueError, match="other samples"):
+            evaluate(cfg, w, samples[:3], prefixes=cache)
+        with pytest.raises(ValueError, match="other samples"):
+            evaluate(cfg, w, samples[1:] + samples[:1], prefixes=cache)
+        with pytest.raises(ValueError, match="another architecture"):
+            evaluate(replace(cfg, heads=4), w, samples, prefixes=cache)
+
+    def test_replaced_weight_array_is_refused(self, setup):
+        """An optimizer step replaces each parameter's value array, so a cache
+        filled before it no longer matches."""
+        _, samples = setup
+        w = init_weights(self.SIX, Rng(13), dtype=np.float32)
+        cfg = self.SIX.with_sampling((2, 3), k=4)
+        cache = PrefixCache(self.SIX, w, samples)
+        evaluate(cfg, w, samples, prefixes=cache)
+        w["block0.qkv.w"].value = w["block0.qkv.w"].value * 2
+        with pytest.raises(ValueError, match="other weights"):
+            evaluate(cfg, w, samples, prefixes=cache)
