@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Byte-identity check for the CLI: run a fixed recipe of train, finetune,
 eval, sweep and masks commands in process, then print one
-`sha256  relative-path` line per artifact written under OUT_DIR.
+`sha256  relative-path` line per artifact written under OUT_DIR. The recipe
+runs the default architecture (4 heads) and a 2-head one.
 
 Run it on two checkouts and diff the output; a refactor that keeps the
 CLI's behaviour prints identical lines. The only input read from the
@@ -12,6 +13,7 @@ repository is perfbench/weights/baseline.atsw.
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -64,6 +66,16 @@ def run(out: Path) -> None:
            + SWEEP_SCORINGS + DATA)
         sh(["masks", "--weights", weights, "--out-dir", str(out / f"{tag}_masks"),
             "--ats-stages", STAGES, "--k", "8", "--count", "6"] + DATA)
+
+    config = out / "heads2.json"
+    config.write_text(json.dumps({"heads": 2}))
+    heads2 = str(out / "heads2.atsw")
+    sh(["train", "--config", str(config), "--out", heads2, "--epochs", "1"] + DATA)
+    sh(["eval", "--weights", heads2, "--out", str(out / "heads2_eval_k8.json"),
+        "--ats-stages", STAGES, "--k", "8"] + DATA)
+    sh(["sweep", "--weights", heads2, "--out", str(out / "heads2_nearest.csv"),
+        "--ats-stages", STAGES, "--budgets", "1,4,8,16",
+        "--inverse-rule", "nearest"] + SWEEP_SCORINGS + DATA)
 
 
 def main() -> None:

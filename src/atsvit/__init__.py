@@ -1,6 +1,6 @@
 """Adaptive token sampling inside a small trainable vision transformer."""
 
-from .attention import AttentionConfig, AttentionState, attend, attention_matrix, project_qkv
+from .attention import AttentionState, attend, attention_matrix, project_qkv
 from .dataset import DatasetManifest, ShapeSample, generate
 from .flops import FlopsReport, block_macs, model_macs, static_macs
 from .model import (ForwardTrace, ModelConfig, forward, init_weights,

@@ -1,10 +1,10 @@
 """Binary tensor container: magic line, length-prefixed JSON header, then a
 little-endian float32 payload. Used for model weights.
 
-Layout: magic (6 bytes) | u64 LE header length | header JSON (UTF-8) |
-payload. The header carries a named tensor manifest with shapes and byte
-offsets relative to the payload start; offsets are contiguous and appear in
-header order.
+Layout: magic ("ATSW1" and a newline) | u64 LE header length | header JSON
+(UTF-8) | payload. The header carries a named tensor manifest with shapes
+and byte offsets relative to the payload start; offsets are contiguous and
+appear in header order.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ class TruncatedPayloadError(ContainerError):
     pass
 
 
-def write(path: str, magic: bytes, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+MAGIC = b"ATSW1\n"
+
+
+def write(path: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
     """Write tensors (converted to little-endian float32) under a JSON header."""
-    if len(magic) != 6 or not magic.endswith(b"\n"):
-        raise ValueError("magic must be 6 bytes ending in newline")
     manifest = []
     payload = bytearray()
     for name, arr in tensors.items():
@@ -43,7 +44,7 @@ def write(path: str, magic: bytes, meta: dict, tensors: dict[str, np.ndarray]) -
     header["tensors"] = manifest
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(magic)
+        f.write(MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
         f.write(payload)
@@ -68,12 +69,12 @@ def _manifest(path: str, header) -> list[dict]:
     return entries
 
 
-def read(path: str, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+def read(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read header metadata and float32 tensors; validates magic, header
     shape, manifest entries and contiguity, and payload length."""
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:6] != magic:
+    if raw[:6] != MAGIC:
         raise BadMagicError(f"bad magic in {path}: {raw[:6]!r}")
     if len(raw) < 14:
         raise TruncatedPayloadError(f"{path}: missing header")

@@ -47,16 +47,19 @@ def model_macs(trace: ForwardTrace, cfg: ModelConfig) -> FlopsReport:
         if a_out != b_in:
             raise ValueError("trace token counts are not chained")
 
-    embed = cfg.num_patches * cfg.patch_size ** 2 * cfg.channels * cfg.dim
-    head = cfg.dim * cfg.num_classes
-    blocks = sum(sum(block_macs(t_in, t_out, cfg.dim, cfg.mlp_ratio))
-                 for t_in, t_out in counts)
-    return FlopsReport(total_macs=embed + head + blocks)
+    return FlopsReport(total_macs=_total_macs(counts, cfg))
 
 
 def static_macs(cfg: ModelConfig) -> int:
     """Cost of the architecture with no token sampling (constant per image)."""
-    t = cfg.num_tokens
-    attn, mlp = block_macs(t, t, cfg.dim, cfg.mlp_ratio)
+    return _total_macs([(cfg.num_tokens, cfg.num_tokens)] * cfg.depth, cfg)
+
+
+def _total_macs(counts: list[tuple[int, int]], cfg: ModelConfig) -> int:
+    """Patch embedding, every block over its (t_in, t_out) counts, and the
+    classifier head."""
     embed = cfg.num_patches * cfg.patch_size ** 2 * cfg.channels * cfg.dim
-    return embed + cfg.dim * cfg.num_classes + cfg.depth * (attn + mlp)
+    head = cfg.dim * cfg.num_classes
+    blocks = sum(sum(block_macs(t_in, t_out, cfg.dim, cfg.mlp_ratio))
+                 for t_in, t_out in counts)
+    return embed + head + blocks

@@ -20,14 +20,11 @@ import numpy as np
 
 from . import autograd as ag
 from . import container
-from .attention import (AttentionConfig, AttentionState, attend,
-                        attention_matrix, project_qkv)
+from .attention import AttentionState, attend, attention_matrix, project_qkv
 from .autograd import Node
 from .numerics import FAST_DTYPE, Rng
 from .sampling import (InverseRule, Policy, SampleResult, SamplerConfig,
                        Scoring, compute_scores, sample_indices, sampled_attend)
-
-WEIGHT_MAGIC = b"ATSW1\n"
 
 ARCH_FIELDS = ("image_size", "patch_size", "dim", "heads", "depth",
                "mlp_ratio", "num_classes", "channels")
@@ -59,6 +56,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
+        if self.dim % self.heads != 0:
+            raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         for s in self.ats_stages:
             if not 0 <= s < self.depth:
                 raise ValueError(f"sampling stage {s} outside [0, {self.depth})")
@@ -77,10 +76,6 @@ class ModelConfig:
     @property
     def num_tokens(self) -> int:
         return self.num_patches + 1
-
-    @property
-    def attn(self) -> AttentionConfig:
-        return AttentionConfig(dim=self.dim, heads=self.heads)
 
     def arch_dict(self) -> dict:
         return {k: getattr(self, k) for k in ARCH_FIELDS}
@@ -158,7 +153,7 @@ def init_weights(cfg: ModelConfig, rng: Rng, dtype=FAST_DTYPE) -> dict[str, Node
     for name, shape in _param_shapes(cfg).items():
         if name.endswith(".g"):
             arr = np.ones(shape)
-        elif name.endswith(".b") or name.endswith("head.b"):
+        elif name.endswith(".b"):
             arr = np.zeros(shape)
         else:
             arr = rng.normal(shape, std=0.02)
@@ -213,10 +208,11 @@ def first_stage(cfg: ModelConfig) -> int:
 
 
 def _attention_state(tokens: Node, weights: dict[str, Node], p: str,
-                     acfg: AttentionConfig) -> AttentionState:
+                     heads: int) -> AttentionState:
     normed = ag.layer_norm(tokens, weights[p + "ln1.g"], weights[p + "ln1.b"])
-    return attention_matrix(project_qkv(normed, weights[p + "qkv.w"],
-                                        weights[p + "qkv.b"], acfg))
+    q, k, v = project_qkv(normed, weights[p + "qkv.w"], weights[p + "qkv.b"],
+                          heads)
+    return AttentionState(attention_matrix(q, k), v)
 
 
 def _mlp_residual(tokens: Node, weights: dict[str, Node], p: str) -> Node:
@@ -232,15 +228,15 @@ def forward_prefix(image: np.ndarray, cfg: ModelConfig,
                    weights: dict[str, Node]) -> Prefix:
     """Patch embedding, every block before the first sampling stage, and that
     stage's LN1, QKV projection and attention matrix. Draws no random words."""
-    stage, acfg = first_stage(cfg), cfg.attn
+    stage = first_stage(cfg)
     tokens = patch_embed(image, weights, cfg)
     for i in range(stage):
         p = f"block{i}."
-        state = _attention_state(tokens, weights, p, acfg)
+        state = _attention_state(tokens, weights, p, cfg.heads)
         tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
                                        weights[p + "out.b"]))
         tokens = _mlp_residual(tokens, weights, p)
-    state = (_attention_state(tokens, weights, f"block{stage}.", acfg)
+    state = (_attention_state(tokens, weights, f"block{stage}.", cfg.heads)
              if stage < cfg.depth else None)
     return Prefix(stage=stage, tokens=tokens, state=state)
 
@@ -259,7 +255,7 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
     elif prefix.stage != first_stage(cfg):
         raise ValueError(f"prefix ends at block {prefix.stage}, but the first "
                          f"sampling stage is {first_stage(cfg)}")
-    tokens, acfg = prefix.tokens, cfg.attn
+    tokens = prefix.tokens
     stage_counts = [(cfg.num_tokens, cfg.num_tokens)] * prefix.stage
     samples: dict[int, SampleResult] = {}
     alive: dict[int, tuple[int, ...]] = {}
@@ -269,7 +265,7 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
         p = f"block{i}."
         t_in = tokens.shape[0]
         state = (prefix.state if i == prefix.stage
-                 else _attention_state(tokens, weights, p, acfg))
+                 else _attention_state(tokens, weights, p, cfg.heads))
         if i in cfg.ats_stages:
             sv = compute_scores(state.attn.value, state.v.value, cfg.scoring, rng)
             result = sample_indices(sv, cfg.sampler, rng)
@@ -296,14 +292,13 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
 def save_weights(path: str, cfg: ModelConfig, weights: dict[str, Node]) -> None:
     """Persist architecture config and parameters; bit-exact round trip."""
     tensors = {name: w.value for name, w in weights.items()}
-    container.write(path, WEIGHT_MAGIC,
-                    {"schema": 1, "config": cfg.arch_dict()}, tensors)
+    container.write(path, {"schema": 1, "config": cfg.arch_dict()}, tensors)
 
 
 def load_weights(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Load and validate a weight file. Every tensor shape is checked against
     what the header config implies."""
-    meta, tensors = container.read(path, WEIGHT_MAGIC)
+    meta, tensors = container.read(path)
     arch = meta.get("config")
     if not isinstance(arch, dict) or not set(ARCH_FIELDS) <= set(arch):
         raise container.ContainerError(

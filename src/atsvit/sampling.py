@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .attention import AttentionState
+from .attention import AttentionState, attend
 from .autograd import Node
 from .numerics import Rng
 
@@ -125,17 +125,13 @@ def _inverse_nearest(cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Piecewise-linear inverse through (0, 0) and (i, cdf[i]), rounded
     half-away-from-zero and clamped to [1, N]."""
     n = len(cdf)
-    out = np.empty(len(grid), dtype=np.int64)
-    for j, k in enumerate(grid):
-        i = int(np.searchsorted(cdf, k, side="left"))  # 0-based segment end
-        lo = cdf[i - 1] if i > 0 else 0.0
-        hi = cdf[min(i, n - 1)]
-        if hi > lo:
-            x = i + (k - lo) / (hi - lo)
-        else:
-            x = float(i + 1)
-        out[j] = min(max(int(np.floor(x + 0.5)), 1), n)
-    return out
+    i = np.searchsorted(cdf, grid, side="left")  # 0-based segment ends
+    lo = np.where(i > 0, cdf[np.maximum(i - 1, 0)], 0.0)
+    hi = cdf[np.minimum(i, n - 1)]
+    rising = hi > lo
+    x = np.where(rising, i + (grid - lo) / np.where(rising, hi - lo, 1.0),
+                 i + 1.0)
+    return np.clip(np.floor(x + 0.5).astype(np.int64), 1, n)
 
 
 def sample_indices(sv: ScoreVector, cfg: SamplerConfig,
@@ -174,11 +170,8 @@ def sample_indices(sv: ScoreVector, cfg: SamplerConfig,
 
 def sampled_attend(state: AttentionState, result: SampleResult,
                    out_w: Node, out_b: Node) -> Node:
-    """Soft downsampling: every head's attention rows at the retained
-    indices (columns untouched, so each row still sums to 1) times the full
-    value set, concatenated across heads and projected. Output row 0 is
-    CLS."""
-    if state.attn is None:
-        raise ValueError("attention_matrix was not applied")
-    mixed = ag.matmul(ag.gather_rows(state.attn, result.kept), state.v)
-    return ag.add_row(ag.matmul(ag.concat_cols(mixed), out_w), out_b)
+    """Soft downsampling: attend with every head's attention rows at the
+    retained indices (columns untouched, so each row still sums to 1) over
+    the full value set. Output row 0 is CLS; keeping every row is attend."""
+    return attend(AttentionState(ag.gather_rows(state.attn, result.kept),
+                                 state.v), out_w, out_b)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from atsvit import autograd as ag
-from atsvit.attention import AttentionConfig, attend, attention_matrix, project_qkv
+from atsvit.attention import attend
 from atsvit.cli import main as cli_main
 from atsvit.dataset import DatasetManifest, generate
 from atsvit.flops import static_macs
@@ -21,6 +21,7 @@ from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import (SampleResult, SamplerConfig, Scoring, build_cdf,
                              compute_scores, sample_indices, sampled_attend)
 from atsvit.trainer import evaluate, train
+from helpers import attention_state
 
 # locked from the reference run (see decisions ledger): defaults-sized model,
 # 1024/256 split, 30 epochs at lr 2e-3, fine-tune 8 epochs at lr 3e-4
@@ -89,10 +90,10 @@ def test_criterion_02_kprime_contraction_law():
             f"max score >= 2/K implies K' < K: {violations} violations on 1000 vectors")
 
 
-def _block(tokens, ws, acfg, result=None):
+def _block(tokens, ws, heads, result=None):
     """One pre-norm transformer block, optionally with token sampling."""
     normed = ag.layer_norm(tokens, ws["g1"], ws["b1"])
-    state = attention_matrix(project_qkv(normed, ws["qw"], ws["qb"], acfg))
+    state = attention_state(normed, ws["qw"], ws["qb"], heads)
     if result is None:
         x = ag.add(tokens, attend(state, ws["ow"], ws["ob"]))
     else:
@@ -119,13 +120,12 @@ def test_criterion_03_no_drop_identity():
     for seed in range(100):
         rng = Rng(seed, stream=3)
         t, d, heads = 2 + rng.integers(0, 9), 8, 2
-        acfg = AttentionConfig(d, heads)
         ws = _block_weights(rng, d, 2)
         tokens = rng.normal((t, d))
         keep_all = SampleResult(kept=tuple(range(t)), k_prime=t - 1,
                                 psi=tuple(range(1, t)))
-        plain = _block(ag.leaf(tokens), ws, acfg).value
-        sampled = _block(ag.leaf(tokens), ws, acfg, keep_all).value
+        plain = _block(ag.leaf(tokens), ws, heads).value
+        sampled = _block(ag.leaf(tokens), ws, heads, keep_all).value
         rel = np.abs(plain - sampled) / (np.abs(plain) + 1e-12)
         worst = max(worst, float(rel.max()))
     verdict(3, worst <= 1e-9,
@@ -136,21 +136,20 @@ def test_criterion_03_no_drop_identity():
 def test_criterion_04_gradient_fidelity():
     start = time.time()
     t, d, heads = 6, 8, 2
-    acfg = AttentionConfig(d, heads)
     worst = 0.0
     for seed in range(20):
         rng = Rng(seed, stream=4)
         tokens = rng.normal((t, d))
         ws = _block_weights(rng, d, 2)
-        state = attention_matrix(project_qkv(
+        state = attention_state(
             ag.layer_norm(ag.leaf(tokens), ws["g1"], ws["b1"]),
-            ws["qw"], ws["qb"], acfg))
+            ws["qw"], ws["qb"], heads)
         sv = compute_scores(state.attn.value, state.v.value)
         frozen = sample_indices(sv, SamplerConfig(k=3))
         target = rng.normal((frozen.k_prime + 1, d))
 
         def f(x):
-            out = _block(x, ws, acfg, frozen)
+            out = _block(x, ws, heads, frozen)
             return ag.sum_all(ag.mul(out, ag.leaf(target)))
 
         worst = max(worst, ag.grad_check(f, tokens, h=1e-5))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atsvit import autograd as ag
-from atsvit.attention import (AttentionConfig, attend, attention_matrix,
+from atsvit.attention import (AttentionState, attend, attention_matrix,
                               project_qkv)
+from atsvit.model import ModelConfig
 from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import SampleResult, sampled_attend
+from helpers import attention_state
 
 
 def identity_qkv(d):
@@ -43,17 +45,16 @@ class TestProjectQkv:
         d = 4
         tokens = Rng(0).normal((3, d))
         w, b = identity_qkv(d)
-        state = project_qkv(ag.leaf(tokens), w, b, AttentionConfig(d, 1))
-        for part in (state.q, state.k, state.v):
+        for part in project_qkv(ag.leaf(tokens), w, b, 1):
             assert part.shape == (1, 3, d)
             assert np.allclose(part.value[0], tokens)
 
     def test_zero_weights(self):
         d = 4
-        state = project_qkv(ag.leaf(Rng(0).normal((3, d))),
+        parts = project_qkv(ag.leaf(Rng(0).normal((3, d))),
                             ag.leaf(np.zeros((d, 3 * d))), ag.leaf(np.zeros(3 * d)),
-                            AttentionConfig(d, 2))
-        for part in (state.q, state.k, state.v):
+                            2)
+        for part in parts:
             assert np.array_equal(part.value, np.zeros((2, 3, 2)))
 
     def test_matches_reference_oracle(self):
@@ -61,8 +62,7 @@ class TestProjectQkv:
         d, heads = 8, 2
         tokens = rng.normal((5, d))
         qw, qb, ow, ob = random_weights(rng, d)
-        state = attention_matrix(project_qkv(ag.leaf(tokens), qw, qb,
-                                             AttentionConfig(d, heads)))
+        state = attention_state(ag.leaf(tokens), qw, qb, heads)
         out = attend(state, ow, ob)
         ref = reference_attention(tokens, qw.value, qb.value, ow.value,
                                   ob.value, heads)
@@ -74,44 +74,38 @@ class TestProjectQkv:
         rng = Rng(1)
         tokens = rng.normal((4, d))
         w, b = identity_qkv(d)
-        state = project_qkv(ag.leaf(tokens), w, b, AttentionConfig(d, heads))
+        q, _, _ = project_qkv(ag.leaf(tokens), w, b, heads)
         for h in range(heads):
-            assert np.allclose(state.q.value[h], tokens[:, 2 * h:2 * h + 2])
+            assert np.allclose(q.value[h], tokens[:, 2 * h:2 * h + 2])
 
 
 class TestAttentionMatrix:
     def test_single_token(self):
-        cfg = AttentionConfig(4, 1)
-        state = attention_matrix(project_qkv(ag.leaf(Rng(0).normal((1, 4))),
-                                             *identity_qkv(4), cfg))
+        state = attention_state(ag.leaf(Rng(0).normal((1, 4))),
+                                *identity_qkv(4), 1)
         assert np.allclose(state.attn.value, [[[1.0]]])
 
     def test_identical_keys_uniform(self):
         d = 4
         tokens = np.tile(Rng(0).normal((1, d)), (2, 1))
-        state = attention_matrix(project_qkv(ag.leaf(tokens), *identity_qkv(d),
-                                             AttentionConfig(d, 1)))
+        state = attention_state(ag.leaf(tokens), *identity_qkv(d), 1)
         assert state.attn.shape == (1, 2, 2)
         assert np.allclose(state.attn.value, 0.5)
 
     def test_head_dim_one_closed_form(self):
         # q=[1], k=[0, ln4], scale sqrt(1): softmax([0, ln4]) = [0.2, 0.8]
-        from atsvit.attention import AttentionState
         q = np.array([[1.0], [1.0]])
         k = np.array([[0.0], [np.log(4.0)]])
-        state = AttentionState(q=ag.leaf(q[None]), k=ag.leaf(k[None]),
-                               v=ag.leaf(k[None]))
-        attention_matrix(state)
-        assert np.allclose(state.attn.value[0, 0], [0.2, 0.8])
+        attn = attention_matrix(ag.leaf(q[None]), ag.leaf(k[None]))
+        assert np.allclose(attn.value[0, 0], [0.2, 0.8])
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
     def test_rows_stochastic(self, seed, t):
         rng = Rng(seed)
         d, heads = 8, 4
-        state = attention_matrix(project_qkv(ag.leaf(rng.normal((t, d), 2.0)),
-                                             *random_weights(rng, d)[:2],
-                                             AttentionConfig(d, heads)))
+        state = attention_state(ag.leaf(rng.normal((t, d), 2.0)),
+                                *random_weights(rng, d)[:2], heads)
         assert state.attn.shape == (heads, t, t)
         assert np.allclose(state.attn.value.sum(axis=-1), 1.0, atol=1e-9)
         assert (state.attn.value >= 0).all()
@@ -121,10 +115,10 @@ class TestAttend:
     def test_identity_attention_projects_values(self):
         rng = Rng(3)
         d, t = 6, 4
-        cfg = AttentionConfig(d, 2)
+        heads = 2
         qw, qb, ow, ob = random_weights(rng, d)
-        state = project_qkv(ag.leaf(rng.normal((t, d))), qw, qb, cfg)
-        state.attn = ag.leaf(np.stack([np.eye(t)] * cfg.heads))
+        _, _, v = project_qkv(ag.leaf(rng.normal((t, d))), qw, qb, heads)
+        state = AttentionState(ag.leaf(np.stack([np.eye(t)] * heads)), v)
         out = attend(state, ow, ob)
         vcat = np.concatenate(list(state.v.value), axis=1)
         assert np.allclose(out.value, vcat @ ow.value + ob.value)
@@ -132,9 +126,8 @@ class TestAttend:
     def test_uniform_attention_averages_values(self):
         rng = Rng(4)
         d, t = 4, 5
-        cfg = AttentionConfig(d, 1)
-        state = project_qkv(ag.leaf(rng.normal((t, d))), *identity_qkv(d), cfg)
-        state.attn = ag.leaf(np.full((1, t, t), 1.0 / t))
+        _, _, v = project_qkv(ag.leaf(rng.normal((t, d))), *identity_qkv(d), 1)
+        state = AttentionState(ag.leaf(np.full((1, t, t), 1.0 / t)), v)
         out = attend(state, ag.leaf(np.eye(d)), ag.leaf(np.zeros(d)))
         mean_row = state.v.value[0].mean(axis=0)
         assert np.allclose(out.value, np.tile(mean_row, (t, 1)))
@@ -145,8 +138,7 @@ class TestAttend:
             d, heads, t = 16, 4, 9
             tokens = rng.normal((t, d))
             qw, qb, ow, ob = random_weights(rng, d)
-            state = attention_matrix(project_qkv(ag.leaf(tokens), qw, qb,
-                                                 AttentionConfig(d, heads)))
+            state = attention_state(ag.leaf(tokens), qw, qb, heads)
             out = attend(state, ow, ob)
             ref = reference_attention(tokens, qw.value, qb.value, ow.value,
                                       ob.value, heads)
@@ -180,8 +172,7 @@ def test_stacked_heads_bitwise_equal_per_head_loop_float32():
                    for w in random_weights(rng, d)]
         qw, qb, ow, ob = weights
         raw = [w.value for w in weights]
-        state = attention_matrix(project_qkv(ag.leaf(tokens), qw, qb,
-                                             AttentionConfig(d, heads)))
+        state = attention_state(ag.leaf(tokens), qw, qb, heads)
         out = attend(state, ow, ob).value
         assert out.dtype == np.float32
         assert np.array_equal(out, per_head_reference(tokens, *raw, heads))
@@ -196,13 +187,12 @@ def test_permutation_equivariance():
     """Permuting non-CLS tokens permutes non-CLS outputs; CLS unchanged."""
     rng = Rng(12)
     d, heads, t = 8, 2, 7
-    cfg = AttentionConfig(d, heads)
     tokens = rng.normal((t, d))
     qw, qb, ow, ob = random_weights(rng, d)
     perm = np.concatenate([[0], 1 + Rng(5).permutation(t - 1)])
 
     def run(tok):
-        state = attention_matrix(project_qkv(ag.leaf(tok), qw, qb, cfg))
+        state = attention_state(ag.leaf(tok), qw, qb, heads)
         return attend(state, ow, ob).value
 
     base = run(tokens)
@@ -218,8 +208,7 @@ def test_single_head_equals_multi_head_with_one_head():
     qw, qb, ow, ob = random_weights(rng, d)
 
     # one-head multi-head formulation is exactly the single-head math
-    state = attention_matrix(project_qkv(ag.leaf(tokens), qw, qb,
-                                         AttentionConfig(d, 1)))
+    state = attention_state(ag.leaf(tokens), qw, qb, 1)
     fused = tokens @ qw.value + qb.value
     q, k, v = fused[:, :d], fused[:, d:2 * d], fused[:, 2 * d:]
     a = softmax_rows(q @ k.T / np.sqrt(d))
@@ -230,4 +219,4 @@ def test_single_head_equals_multi_head_with_one_head():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AttentionConfig(dim=6, heads=4)
+        ModelConfig(dim=6, heads=4)

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atsvit import autograd as ag
-from atsvit.attention import AttentionConfig, attend, attention_matrix, project_qkv
+from atsvit.attention import attend
 from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import (InverseRule, Policy, SampleResult, SamplerConfig,
                              Scoring, build_cdf, compute_scores,
                              sample_indices, sampled_attend)
+from helpers import attention_state
 
 
 def brute_force_ceil(scores, k_budget):
@@ -26,6 +27,23 @@ def brute_force_ceil(scores, k_budget):
     return tuple(sorted(kept)), psi
 
 
+def loop_nearest(cdf, grid):
+    """Independent oracle: the nearest-rule inverse one grid point at a
+    time with scalar arithmetic."""
+    n = len(cdf)
+    out = np.empty(len(grid), dtype=np.int64)
+    for j, k in enumerate(grid):
+        i = int(np.searchsorted(cdf, k, side="left"))  # 0-based segment end
+        lo = cdf[i - 1] if i > 0 else 0.0
+        hi = cdf[min(i, n - 1)]
+        if hi > lo:
+            x = i + (k - lo) / (hi - lo)
+        else:
+            x = float(i + 1)
+        out[j] = min(max(int(np.floor(x + 0.5)), 1), n)
+    return out
+
+
 def random_scores(rng, n, spiky=False):
     u = rng.uniform((n,))
     if spiky:
@@ -38,11 +56,10 @@ def random_scores(rng, n, spiky=False):
 
 
 def make_state(rng, t, d, heads):
-    cfg = AttentionConfig(d, heads)
     tokens = ag.leaf(rng.normal((t, d)))
     qw = ag.leaf(rng.normal((d, 3 * d), 0.5))
     qb = ag.leaf(rng.normal((3 * d,), 0.2))
-    return attention_matrix(project_qkv(tokens, qw, qb, cfg))
+    return attention_state(tokens, qw, qb, heads)
 
 
 class TestComputeScores:
@@ -254,6 +271,21 @@ class TestSampleIndices:
         # psi(0.5) interpolates to x=1.0 -> 1; psi(1.0) -> 2
         assert res2.psi == (1, 2)
 
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                              st.integers(1, 4)),
+                    min_size=1, max_size=8).filter(
+                        lambda runs: any(v > 0 for v, _ in runs)),
+           st.integers(1, 32))
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_rule_matches_loop_oracle(self, runs, k):
+        """Scores drawn as runs of equal values, zero runs among them, so
+        the CDF has flat segments."""
+        u = np.repeat([v for v, _ in runs], [r for _, r in runs])
+        sv = build_cdf(u / u.sum())
+        cfg = SamplerConfig(k=k, inverse_rule=InverseRule.NEAREST)
+        res = sample_indices(sv, cfg)
+        assert list(res.psi) == loop_nearest(sv.cdf, cfg.grid).tolist()
+
     def test_nearest_rule_clamps_and_keeps_cls(self):
         sv = build_cdf(np.array([0.97, 0.02, 0.01]))
         res = sample_indices(sv, SamplerConfig(k=8, inverse_rule=InverseRule.NEAREST))
@@ -352,7 +384,6 @@ def test_gradients_with_frozen_indices_match_finite_differences():
     """Differentiability contract: with kept indices frozen, the sampled
     attention block is exactly differentiable in its inputs."""
     d, heads, t = 8, 2, 6
-    acfg = AttentionConfig(d, heads)
     rng = Rng(31)
     tok0 = rng.normal((t, d))
     qw = rng.normal((d, 3 * d), 0.5)
@@ -360,15 +391,14 @@ def test_gradients_with_frozen_indices_match_finite_differences():
     ow = rng.normal((d, d), 0.5)
     ob = rng.normal((d,), 0.2)
 
-    state0 = attention_matrix(project_qkv(ag.leaf(tok0), ag.leaf(qw),
-                                          ag.leaf(qb), acfg))
+    state0 = attention_state(ag.leaf(tok0), ag.leaf(qw), ag.leaf(qb), heads)
     sv = compute_scores(state0.attn.value, state0.v.value)
     frozen = sample_indices(sv, SamplerConfig(k=3))
     assert frozen.k_prime < t - 1  # make sure rows actually drop
     target = rng.normal((frozen.k_prime + 1, d))
 
     def f(x):
-        state = attention_matrix(project_qkv(x, ag.leaf(qw), ag.leaf(qb), acfg))
+        state = attention_state(x, ag.leaf(qw), ag.leaf(qb), heads)
         out = sampled_attend(state, frozen, ag.leaf(ow), ag.leaf(ob))
         return ag.sum_all(ag.mul(out, ag.leaf(target)))
 
