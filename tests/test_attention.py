@@ -51,10 +51,8 @@ class TestProjectQkv:
 
     def test_zero_weights(self):
         d = 4
-        parts = project_qkv(ag.leaf(Rng(0).normal((3, d))),
-                            ag.leaf(np.zeros((d, 3 * d))), ag.leaf(np.zeros(3 * d)),
-                            2)
-        for part in parts:
+        zero_w, zero_b = ag.leaf(np.zeros((d, 3 * d))), ag.leaf(np.zeros(3 * d))
+        for part in project_qkv(ag.leaf(Rng(0).normal((3, d))), zero_w, zero_b, 2):
             assert np.array_equal(part.value, np.zeros((2, 3, 2)))
 
     def test_matches_reference_oracle(self):
