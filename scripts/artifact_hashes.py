@@ -2,7 +2,9 @@
 """Byte-identity check for the CLI: run a fixed recipe of train, finetune,
 eval, sweep and masks commands in process, then print one
 `sha256  relative-path` line per artifact written under OUT_DIR. The recipe
-runs the default architecture (4 heads) and a 2-head one.
+runs the default architecture (4 heads) and a 2-head one. It also writes the
+raw bytes of `dataset.generate` under OUT_DIR/data: for three manifests and
+each split, the images, labels and clutter levels.
 
 Run it on two checkouts and diff the output; a refactor that keeps the
 CLI's behaviour prints identical lines. The only input read from the
@@ -17,7 +19,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from atsvit.cli import main as cli
+from atsvit.dataset import DatasetManifest, generate
 
 STORED = Path(__file__).resolve().parent.parent / "perfbench" / "weights" / "baseline.atsw"
 DATA = ["--n-train", "256", "--n-val", "64", "--quiet"]
@@ -37,6 +42,14 @@ EVALS = {
     "inverse_k8": ["--ats-stages", STAGES, "--k", "8"],
     "topk_k4": ["--ats-stages", "1,3", "--k", "4", "--policy", "topk"],
 }
+# The CLI's default data, one without clutter (so no fragment draws) and one
+# with another seed and clutter distribution.
+MANIFESTS = {
+    "default": DatasetManifest(42, 256, 64),
+    "no_clutter": DatasetManifest(42, 256, 64, clutter_scale=0.0),
+    "seed7_beta": DatasetManifest(7, 256, 64, clutter_alpha=2.5,
+                                  clutter_beta=0.8, clutter_scale=1.5),
+}
 
 
 def sh(args: list[str]) -> None:
@@ -45,8 +58,22 @@ def sh(args: list[str]) -> None:
         sys.exit(f"atsvit {' '.join(args)} exited {rc}")
 
 
+def write_data(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, manifest in MANIFESTS.items():
+        for split, samples in zip(("train", "val"), generate(manifest)):
+            stem = out / f"{name}_{split}"
+            np.stack([s.image for s in samples]).astype("<f8").tofile(
+                f"{stem}_images.bin")
+            np.array([s.label for s in samples], dtype="<i8").tofile(
+                f"{stem}_labels.bin")
+            np.array([s.clutter for s in samples], dtype="<f8").tofile(
+                f"{stem}_clutter.bin")
+
+
 def run(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
+    write_data(out / "data")
     base = str(out / "train.atsw")
     sh(["train", "--out", base, "--epochs", "2"] + DATA)
     for name, flags in FINETUNES.items():

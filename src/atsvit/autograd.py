@@ -141,18 +141,22 @@ def softmax_rows(a: Node) -> Node:
         (a, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))),))
 
 
+def _row_mean(x):
+    # The reduction and division that ndarray.mean runs, without its
+    # Python-level dispatch, which costs more than the sum on one image.
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm_vjp(g, xhat, inv_std, gv):
     gg = g * gv
-    return (gg - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)) * inv_std
+    return (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat)) * inv_std
 
 
 def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
     xv = x.value
-    mean = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mean) * inv_std
+    centered = xv - _row_mean(xv)
+    inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
+    xhat = centered * inv_std
     out = xhat * gamma.value + beta.value
     return _make("layer_norm", out, _mode.recording and (
         (x, lambda g, gv=gamma.value: _layer_norm_vjp(g, xhat, inv_std, gv)),

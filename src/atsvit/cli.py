@@ -30,7 +30,8 @@ from . import autograd as ag
 from .container import ContainerError
 from .dataset import DatasetManifest, generate, load_pgm, save_pgm
 from .flops import static_macs
-from .model import ModelConfig, init_weights, as_nodes, forward, load_weights, save_weights
+from .model import (ARCH_FIELDS, ModelConfig, init_weights, as_nodes, forward,
+                    load_weights, save_weights)
 from .numerics import FAST_DTYPE, NonFiniteError, Rng
 from .sampling import InverseRule, Policy, Scoring
 from .trainer import EvalResult, PrefixCache, TrainingDiverged, evaluate, train
@@ -99,6 +100,10 @@ def _arch_config(args) -> ModelConfig:
             raise ValueError(f"{args.config}: config JSON nested too deeply") from None
     if not isinstance(fields, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
+    unknown = sorted(set(fields) - set(ARCH_FIELDS))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys {unknown}; "
+                         f"known keys are {list(ARCH_FIELDS)}")
     return ModelConfig.from_arch_dict({**ModelConfig().arch_dict(), **fields})
 
 

@@ -300,9 +300,9 @@ def load_weights(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     what the header config implies."""
     meta, tensors = container.read(path)
     arch = meta.get("config")
-    if not isinstance(arch, dict) or not set(ARCH_FIELDS) <= set(arch):
+    if not isinstance(arch, dict) or set(arch) != set(ARCH_FIELDS):
         raise container.ContainerError(
-            f"{path}: header config must hold the fields {list(ARCH_FIELDS)}")
+            f"{path}: header config must hold exactly the fields {list(ARCH_FIELDS)}")
     cfg = ModelConfig.from_arch_dict(arch)
     expected = _param_shapes(cfg)
     if set(tensors) != set(expected):

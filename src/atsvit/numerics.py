@@ -88,7 +88,10 @@ class Rng:
     """Seeded counter-based generator.
 
     Consuming n words advances an integer counter; there is no other state,
-    so a stream can be regenerated or split deterministically.
+    so a stream can be regenerated or split deterministically. Scalar draws
+    (`uniform()`, `integers(low, high)`) compute their one word in Python
+    ints; shaped draws compute theirs as a uint64 array in `_raw`. Both give
+    the same words, so how a stream is split into calls never changes it.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -104,11 +107,18 @@ class Rng:
         self.counter += n
         return _mix64_arr(np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
 
+    def _word(self) -> int:
+        """The next word, as `_raw(1)[0]` would give it, without numpy."""
+        self.counter += 1
+        return _mix64_int(self.seed + self.counter * _GOLDEN)
+
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform floats in [0, 1) with 53-bit resolution."""
-        n = int(np.prod(shape)) if shape else 1
+        if not shape:
+            return np.float64((self._word() >> 11) * (2.0 ** -53))
+        n = int(np.prod(shape))
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        return u.reshape(shape) if shape else u[0]
+        return u.reshape(shape)
 
     def normal(self, shape=(), std: float = 1.0) -> np.ndarray:
         """Standard Box-Muller normals scaled by std."""
@@ -126,9 +136,9 @@ class Rng:
         the small ranges used here."""
         if high <= low:
             raise ValueError("empty integer range")
-        n = 1 if size is None else size
-        vals = low + (self._raw(n) % np.uint64(high - low)).astype(np.int64)
-        return int(vals[0]) if size is None else vals
+        if size is None:
+            return int(low) + self._word() % int(high - low)
+        return low + (self._raw(size) % np.uint64(high - low)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""

@@ -153,8 +153,9 @@ class TestMalformedWeights:
         lambda h: _with_patch_size(h, 0),
         lambda h: {k: v for k, v in h.items() if k != "config"},
         lambda h: {**h, "config": {**h["config"], "heads": 3}},
+        lambda h: {**h, "config": {**h["config"], "head": 3}},
     ], ids=["no-tensors-key", "list-header", "patch-size-0", "no-config-key",
-            "heads-not-dividing-dim"])
+            "heads-not-dividing-dim", "unknown-config-key"])
     def test_malformed_header_fails_cleanly(self, trained, tmp_path, capsys, edit):
         bad = tmp_path / "bad.atsw"
         _rewrite_header(trained, bad, edit)
@@ -224,6 +225,22 @@ def test_heads_not_dividing_dim_fails_before_data(tmp_path, capsys, monkeypatch)
                "--n-val", "1", "--out", str(tmp_path / "w.atsw"), "--quiet"])
     assert rc == 1
     assert capsys.readouterr().err == "error: dim 64 not divisible by heads 3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arch.json"]
+
+
+def test_unknown_config_key_fails_before_data(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "arch.json"
+    cfg.write_text(json.dumps({"head": 3}))
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("images generated for an invalid config")
+
+    monkeypatch.setattr("atsvit.cli.generate", no_data)
+    rc = main(["train", "--config", str(cfg), "--epochs", "0", "--n-train", "1",
+               "--n-val", "1", "--out", str(tmp_path / "w.atsw"), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown config keys ['head']" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["arch.json"]
 
 

@@ -72,7 +72,8 @@ def weight_files(draw, raw: bytes) -> bytes:
     if draw(st.booleans()):
         header = draw(json_values)
     elif draw(st.booleans()):
-        header["config"][draw(st.sampled_from(ARCH_FIELDS))] = draw(json_values)
+        key = draw(st.sampled_from(ARCH_FIELDS) | st.text(max_size=6))
+        header["config"][key] = draw(json_values)
     else:
         entry = draw(st.sampled_from(header["tensors"]))
         entry[draw(st.sampled_from(["name", "shape", "offset"]))] = draw(json_values)
@@ -117,7 +118,7 @@ def test_pgm_bytes(files):
     check()
 
 
-configs = (st.dictionaries(st.sampled_from(ARCH_FIELDS),
+configs = (st.dictionaries(st.sampled_from(ARCH_FIELDS) | st.text(max_size=6),
                            st.integers(-1, 12) | json_values, max_size=4)
            .map(json.dumps)
            | json_values.map(json.dumps)

@@ -150,3 +150,46 @@ class TestRng:
         # cross-platform regression anchor for the counter-based generator
         assert Rng(0)._raw(3).tolist() == [
             12035550249420947055, 12935080325729570654, 7141179953334974231]
+
+    def test_scalar_values_frozen(self):
+        # the scalar path's anchors: both draw the first word above
+        assert Rng(0).uniform() == 0.6524484863740322
+        assert Rng(0).integers(0, 17) == 15
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 5),
+           st.lists(st.one_of(
+               st.tuples(st.just("uniform"), st.none()),
+               st.tuples(st.just("uniform"), st.integers(0, 40)),
+               st.tuples(st.just("integers"), st.none(),
+                         st.integers(-50, 50), st.integers(1, 2 ** 40)),
+               st.tuples(st.just("integers"), st.integers(0, 40),
+                         st.integers(-50, 50), st.integers(1, 2 ** 40))),
+               max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_and_shaped_draws_share_one_stream(self, seed, stream, calls):
+        """Mixed scalar and shaped draws on one Rng read consecutive words
+        of the stream that one _raw call gives in a single array."""
+        rng = Rng(seed, stream)
+        got = []
+        for name, n, *bounds in calls:
+            if name == "uniform":
+                out = rng.uniform() if n is None else rng.uniform((n,))
+            else:
+                lo, span = bounds
+                out = rng.integers(lo, lo + span, size=n)
+            if n is None:
+                assert type(out) is (np.float64 if name == "uniform" else int)
+                got.append(out)
+            else:
+                assert out.shape == (n,)
+                got.extend(out.tolist())
+        words = iter(Rng(seed, stream)._raw(len(got)).tolist())
+        want = []
+        for name, n, *bounds in calls:
+            for w in (next(words) for _ in range(1 if n is None else n)):
+                if name == "uniform":
+                    want.append((w >> 11) * 2.0 ** -53)
+                else:
+                    want.append(bounds[0] + w % bounds[1])
+        assert got == want
+        assert rng.counter == len(got)
