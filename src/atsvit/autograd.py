@@ -7,20 +7,19 @@ reverse topological order: backward() pops nodes from a heap keyed on that
 index and never sorts the graph. Only leaves (nodes without parents) keep a
 gradient: they allocate .grad lazily as zeros and accumulate with +=, so a
 fresh pass requires explicit zeroing (zero_grads). Intermediate gradients
-live only for the duration of one backward() call. Graphs are confined to a
-single thread; node values may be shared read-only.
+live only for the duration of one backward() call.
 
-Inside no_grad() the current thread records nothing: every op computes its
-value with the same numpy calls and the same finite check, but builds no vjp
-closures and returns a Node with no parents, so an inference pass keeps no
-graph alive. Recording is per thread and on by default.
+Inside no_grad() nothing is recorded: every op computes its value with the
+same numpy calls and the same finite check, but builds no vjp closures and
+returns a Node with no parents, so an inference pass keeps no graph alive.
+Recording is one process-wide flag, on by default; the tape is not meant to
+be driven from more than one thread at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -50,28 +49,20 @@ class Node:
         return f"Node(shape={self.value.shape}, leaf={not self.parents})"
 
 
-class _Mode(threading.local):
-    recording = True  # the class attribute is every new thread's default
-
-
-_mode = _Mode()
+_recording = True
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
-    """Stop recording on the calling thread for the duration of the block;
-    the previous state comes back on exit, also when the block raises."""
-    previous = _mode.recording
-    _mode.recording = False
+    """Stop recording for the duration of the block; the previous state
+    comes back on exit, also when the block raises."""
+    global _recording
+    previous = _recording
+    _recording = False
     try:
         yield
     finally:
-        _mode.recording = previous
-
-
-def is_recording() -> bool:
-    """Whether ops on the calling thread record parents for backward()."""
-    return _mode.recording
+        _recording = previous
 
 
 def leaf(value, dtype=None) -> Node:
@@ -83,8 +74,8 @@ def leaf(value, dtype=None) -> Node:
 
 
 def _make(op: str, value: np.ndarray, parents) -> Node:
-    """Every op ends here. Ops pass `_mode.recording and (...)` as parents,
-    so outside recording the (node, vjp) tuple is never built and parents
+    """Every op ends here. Ops pass `_recording and (...)` as parents, so
+    outside recording the (node, vjp) tuple is never built and parents
     arrives as False."""
     assert_finite(op, value)
     return Node(value, parents or ())
@@ -94,25 +85,19 @@ def add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     return _make("add", a.value + b.value,
-                 _mode.recording and ((a, lambda g: g), (b, lambda g: g)))
+                 _recording and ((a, lambda g: g), (b, lambda g: g)))
 
 
 def add_row(a: Node, row: Node) -> Node:
     """Broadcast-add a length-n row vector to every row of an (m, n) matrix."""
     return _make("add_row", a.value + row.value,
-                 _mode.recording and ((a, lambda g: g),
-                                      (row, lambda g: g.sum(axis=0))))
+                 _recording and ((a, lambda g: g),
+                                 (row, lambda g: g.sum(axis=0))))
 
 
 def scale(a: Node, c: float) -> Node:
     return _make("scale", a.value * c,
-                 _mode.recording and ((a, lambda g: g * c),))
-
-
-def mul(a: Node, b: Node) -> Node:
-    return _make("mul", a.value * b.value,
-                 _mode.recording and ((a, lambda g: g * b.value),
-                                      (b, lambda g: g * a.value)))
+                 _recording and ((a, lambda g: g * c),))
 
 
 def _mT(x: np.ndarray) -> np.ndarray:
@@ -124,20 +109,20 @@ def matmul(a: Node, b: Node) -> Node:
     """Matrix product; stacked operands multiply matrix by matrix."""
     v = numerics.matmul(a.value, b.value)
     return _make("matmul", v,
-                 _mode.recording and ((a, lambda g: g @ _mT(b.value)),
-                                      (b, lambda g: _mT(a.value) @ g)))
+                 _recording and ((a, lambda g: g @ _mT(b.value)),
+                                 (b, lambda g: _mT(a.value) @ g)))
 
 
 def transpose(a: Node) -> Node:
     """Swap the last two axes. The copy keeps the result C-contiguous, so
     a product with it gets the same BLAS call as one with a fresh matrix."""
     return _make("transpose", _mT(a.value).copy(),
-                 _mode.recording and ((a, _mT),))
+                 _recording and ((a, _mT),))
 
 
 def softmax_rows(a: Node) -> Node:
     y = numerics.softmax_rows(a.value)
-    return _make("softmax_rows", y, _mode.recording and (
+    return _make("softmax_rows", y, _recording and (
         (a, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))),))
 
 
@@ -158,7 +143,7 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
     inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
     xhat = centered * inv_std
     out = xhat * gamma.value + beta.value
-    return _make("layer_norm", out, _mode.recording and (
+    return _make("layer_norm", out, _recording and (
         (x, lambda g, gv=gamma.value: _layer_norm_vjp(g, xhat, inv_std, gv)),
         (gamma, lambda g: (g * xhat).sum(axis=0)),
         (beta, lambda g: g.sum(axis=0)),
@@ -167,7 +152,7 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
 
 def gelu(x: Node) -> Node:
     return _make("gelu", numerics.gelu(x.value),
-                 _mode.recording and (
+                 _recording and (
                      (x, lambda g: g * numerics.gelu_grad(x.value)),))
 
 
@@ -183,7 +168,7 @@ def gather_rows(a: Node, idx: Sequence[int]) -> Node:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[-2]):
         raise IndexError(f"row index out of range for shape {a.shape}")
-    return _make("gather_rows", a.value[..., idx, :].copy(), _mode.recording and (
+    return _make("gather_rows", a.value[..., idx, :].copy(), _recording and (
         (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
             _scatter_rows(g, idx, shape, dtype)),))
 
@@ -195,7 +180,7 @@ def _pad_cols(g, start, stop, shape, dtype):
 
 
 def slice_cols(a: Node, start: int, stop: int) -> Node:
-    return _make("slice_cols", a.value[:, start:stop].copy(), _mode.recording and (
+    return _make("slice_cols", a.value[:, start:stop].copy(), _recording and (
         (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
             _pad_cols(g, start, stop, shape, dtype)),))
 
@@ -211,13 +196,13 @@ def split_cols(a: Node, n: int) -> Node:
     m, cols = a.value.shape
     return _make("split_cols",
                  a.value.reshape(m, n, cols // n).transpose(1, 0, 2).copy(),
-                 _mode.recording and ((a, _merge_cols),))
+                 _recording and ((a, _merge_cols),))
 
 
 def concat_cols(a: Node) -> Node:
     """(n, m, w) -> (m, n*w), the inverse of split_cols."""
     n, m, w = a.value.shape
-    return _make("concat_cols", _merge_cols(a.value), _mode.recording and (
+    return _make("concat_cols", _merge_cols(a.value), _recording and (
         (a, lambda g: g.reshape(m, n, w).transpose(1, 0, 2)),))
 
 
@@ -225,14 +210,9 @@ def concat_rows(nodes: Sequence[Node]) -> Node:
     heights = [n.value.shape[0] for n in nodes]
     offsets = np.cumsum([0] + heights)
     return _make("concat_rows", np.concatenate([n.value for n in nodes], axis=0),
-                 _mode.recording and tuple(
+                 _recording and tuple(
                      (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e]))
                      for i, n in enumerate(nodes)))
-
-
-def sum_all(a: Node) -> Node:
-    return _make("sum_all", a.value.sum(), _mode.recording and (
-        (a, lambda g, shape=a.value.shape: np.broadcast_to(g, shape).copy()),))
 
 
 def _cross_entropy_vjp(g, shifted, lse, label, shape):
@@ -247,7 +227,7 @@ def cross_entropy(logits: Node, label: int) -> Node:
     shifted = z - z.max()
     lse = np.log(np.exp(shifted).sum())
     loss = np.asarray(lse - shifted[label])
-    return _make("cross_entropy", loss, _mode.recording and (
+    return _make("cross_entropy", loss, _recording and (
         (logits, lambda g, shape=logits.value.shape:
             _cross_entropy_vjp(g, shifted, lse, label, shape)),))
 
@@ -282,9 +262,8 @@ def backward(loss: Node) -> None:
                 heapq.heappush(heap, (-parent.seq, parent))
 
 
-def zero_grads(nodes) -> None:
-    values = nodes.values() if isinstance(nodes, dict) else nodes
-    for n in values:
+def zero_grads(weights: dict[str, Node]) -> None:
+    for n in weights.values():
         n.grad = None
 
 

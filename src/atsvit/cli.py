@@ -21,12 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
+from .autograd import Node
 from .container import ContainerError
 from .dataset import DatasetManifest, generate, load_pgm, save_pgm
 from .flops import static_macs
@@ -34,7 +36,8 @@ from .model import (ARCH_FIELDS, ModelConfig, init_weights, as_nodes, forward,
                     load_weights, save_weights)
 from .numerics import FAST_DTYPE, NonFiniteError, Rng
 from .sampling import InverseRule, Policy, Scoring
-from .trainer import EvalResult, PrefixCache, TrainingDiverged, evaluate, train
+from .trainer import (EvalResult, PrefixCache, TrainingDiverged, eval_rng,
+                      evaluate, train)
 
 
 def _parse_stages(text: str) -> tuple[int, ...]:
@@ -48,8 +51,12 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def _parse_fractions(text: str) -> list[float]:
+    fractions = [float(t) for t in text.split(",") if t.strip()]
+    if not all(0 < f < math.inf for f in fractions):
+        raise ValueError(f"--mac-fraction values must be finite and positive, "
+                         f"got {text}")
+    return fractions
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -104,7 +111,7 @@ def _arch_config(args) -> ModelConfig:
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys {unknown}; "
                          f"known keys are {list(ARCH_FIELDS)}")
-    return ModelConfig.from_arch_dict({**ModelConfig().arch_dict(), **fields})
+    return ModelConfig(**fields)
 
 
 def _apply_runtime(cfg: ModelConfig, args) -> ModelConfig:
@@ -116,9 +123,20 @@ def _apply_runtime(cfg: ModelConfig, args) -> ModelConfig:
                              scoring=Scoring(args.scoring))
 
 
-def write_metrics_csv(path: str, rows: list[dict]) -> None:
-    fields = ["schema", "epoch", "split", "loss", "top1",
-              "mean_kprime_per_stage", "mean_macs"]
+def _load_model(args) -> tuple[ModelConfig, dict[str, Node]]:
+    """The weight file's architecture under the runtime flags, and its
+    weights as nodes of the fast dtype."""
+    arch, tensors = load_weights(args.weights)
+    return _apply_runtime(arch, args), as_nodes(tensors, dtype=FAST_DTYPE)
+
+
+METRICS_FIELDS = ["schema", "epoch", "split", "loss", "top1",
+                  "mean_kprime_per_stage", "mean_macs"]
+SWEEP_FIELDS = ["schema", "policy", "scoring", "k", "top1", "mean_macs",
+                "mac_fraction"]
+
+
+def write_csv(path: str, fields: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
@@ -140,7 +158,7 @@ def _fit(cfg: ModelConfig, weights, args) -> int:
                  weight_decay=args.weight_decay, seed=args.seed,
                  log=not args.quiet)
     save_weights(args.out, cfg, weights)
-    write_metrics_csv(args.metrics or args.out + ".csv", rows)
+    write_csv(args.metrics or args.out + ".csv", METRICS_FIELDS, rows)
     return 0
 
 
@@ -150,8 +168,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    arch, tensors = load_weights(args.weights)
-    return _fit(_apply_runtime(arch, args), as_nodes(tensors, dtype=FAST_DTYPE), args)
+    return _fit(*_load_model(args), args)
 
 
 def _eval_payload(cfg: ModelConfig, weights, val_set, seed: int) -> dict:
@@ -179,9 +196,7 @@ def _eval_payload(cfg: ModelConfig, weights, val_set, seed: int) -> dict:
 
 
 def cmd_eval(args) -> int:
-    arch, tensors = load_weights(args.weights)
-    cfg = _apply_runtime(arch, args)
-    weights = as_nodes(tensors, dtype=FAST_DTYPE)
+    cfg, weights = _load_model(args)
     _, val_set = generate(_manifest(args), train=False)
     payload = _eval_payload(cfg, weights, val_set, args.seed)
     write_json(args.out, payload)
@@ -208,9 +223,8 @@ def resolve_budget(cfg: ModelConfig, weights, val_set, fractions: list[float],
 
 
 def cmd_sweep(args) -> int:
-    arch, tensors = load_weights(args.weights)
-    weights = as_nodes(tensors, dtype=FAST_DTYPE)
-    base_cfg = _apply_runtime(arch, args)
+    fractions = _parse_fractions(args.mac_fraction) if args.mac_fraction else None
+    base_cfg, weights = _load_model(args)
     stages = _parse_stages(args.ats_stages) or (2, 3, 4, 5)
     _, val_set = generate(_manifest(args), train=False)
     policies = [Policy(p) for p in args.policies.split(",")]
@@ -225,40 +239,27 @@ def cmd_sweep(args) -> int:
         for scoring in scorings:
             combo_cfg = base_cfg.with_sampling(stages, policy=policy,
                                                scoring=scoring)
-            if args.mac_fraction:
-                results = resolve_budget(combo_cfg, weights, val_set,
-                                         _parse_float_list(args.mac_fraction),
+            if fractions is not None:
+                results = resolve_budget(combo_cfg, weights, val_set, fractions,
                                          args.seed, prefixes)
             else:
                 results = [(k, evaluate(combo_cfg.with_sampling(stages, k=k),
                                         weights, val_set, seed=args.seed,
                                         prefixes=prefixes))
                            for k in _parse_int_list(args.budgets)]
-            for k, ev in results:
-                rows.append({
-                    "schema": 1,
-                    "policy": policy.value,
-                    "scoring": scoring.value,
-                    "k": k,
-                    "top1": f"{ev.top1:.6f}",
-                    "mean_macs": f"{ev.mean_macs:.1f}",
-                    "mac_fraction": f"{ev.mean_macs / baseline:.6f}",
-                })
-    fields = ["schema", "policy", "scoring", "k", "top1", "mean_macs",
-              "mac_fraction"]
-    with open(args.out, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+            rows += [{"schema": 1, "policy": policy.value,
+                      "scoring": scoring.value, "k": k, "top1": f"{ev.top1:.6f}",
+                      "mean_macs": f"{ev.mean_macs:.1f}",
+                      "mac_fraction": f"{ev.mean_macs / baseline:.6f}"}
+                     for k, ev in results]
+    write_csv(args.out, SWEEP_FIELDS, rows)
     return 0
 
 
 def cmd_masks(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be non-negative, got {args.count}")
-    arch, tensors = load_weights(args.weights)
-    cfg = _apply_runtime(arch, args)
-    weights = as_nodes(tensors, dtype=FAST_DTYPE)
+    cfg, weights = _load_model(args)
     if args.images:
         images = [load_pgm(p) for p in args.images]
     else:
@@ -280,7 +281,7 @@ def cmd_masks(args) -> int:
     for i, image in enumerate(images):
         with ag.no_grad():
             trace = forward(np.asarray(image, dtype=np.float64), cfg, weights,
-                            rng=Rng(args.seed, stream=1000 + i))
+                            rng=eval_rng(args.seed, i))
         save_pgm(out_dir / f"img{i:03d}.pgm", np.asarray(image))
         stages_obj = {}
         alive = tuple(range(cfg.num_tokens))

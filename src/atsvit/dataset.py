@@ -11,6 +11,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,15 @@ class DatasetManifest:
     def __post_init__(self):
         if self.n_train < 1 or self.n_val < 1:
             raise ValueError("need at least one sample per split")
+        for name in ("clutter_alpha", "clutter_beta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
+        # At most one fragment per canvas pixel; this also refuses NaN.
+        if not 0 <= self.clutter_scale * _CLUTTER_FRAGS <= IMAGE_SIZE ** 2:
+            raise ValueError(f"clutter_scale must be in [0, "
+                             f"{IMAGE_SIZE ** 2 / _CLUTTER_FRAGS:.2f}], "
+                             f"got {self.clutter_scale}")
 
 
 def _draw_hbar(img: np.ndarray, rng: Rng, value: float) -> None:
@@ -111,12 +121,12 @@ def _make_split(manifest: DatasetManifest, offset: int, count: int,
         rng = base.spawn(offset + i)
         label = i % NUM_CLASSES
         u = rng.uniform()
-        if manifest.clutter_scale > 0:
-            clutter = manifest.clutter_scale * float(
-                betaincinv(manifest.clutter_alpha, manifest.clutter_beta, u))
-        else:
-            clutter = 0.0
-        samples.append(render_sample(rng, label, clutter))
+        level = float(betaincinv(manifest.clutter_alpha, manifest.clutter_beta, u))
+        if math.isnan(level):
+            raise ValueError(f"no clutter level at quantile {u:.6g} of Beta("
+                             f"clutter_alpha={manifest.clutter_alpha}, "
+                             f"clutter_beta={manifest.clutter_beta})")
+        samples.append(render_sample(rng, label, manifest.clutter_scale * level))
     return samples
 
 

@@ -89,10 +89,6 @@ class ModelConfig:
             "scoring": self.scoring.value,
         }
 
-    @staticmethod
-    def from_arch_dict(arch: dict, **runtime) -> "ModelConfig":
-        return ModelConfig(**{k: arch[k] for k in ARCH_FIELDS}, **runtime)
-
     def with_sampling(self, ats_stages: Iterable[int], k: int | None = None,
                       inverse_rule: InverseRule | None = None,
                       policy: Policy | None = None,
@@ -303,7 +299,7 @@ def load_weights(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     if not isinstance(arch, dict) or set(arch) != set(ARCH_FIELDS):
         raise container.ContainerError(
             f"{path}: header config must hold exactly the fields {list(ARCH_FIELDS)}")
-    cfg = ModelConfig.from_arch_dict(arch)
+    cfg = ModelConfig(**arch)
     expected = _param_shapes(cfg)
     if set(tensors) != set(expected):
         missing = set(expected) ^ set(tensors)

@@ -67,11 +67,15 @@ class ScoreVector:
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Retained token indices (sorted, always containing the CLS index 0),
-    the realized non-CLS count, and the raw per-grid-point evaluations."""
+    """Retained token indices (sorted, always containing the CLS index 0)
+    and the raw per-grid-point evaluations."""
     kept: tuple[int, ...]
-    k_prime: int
     psi: tuple[int, ...]
+
+    @property
+    def k_prime(self) -> int:
+        """The realized non-CLS count."""
+        return len(self.kept) - 1
 
 
 def build_cdf(scores: np.ndarray, uniform_fallback: bool = False) -> ScoreVector:
@@ -164,8 +168,7 @@ def sample_indices(sv: ScoreVector, cfg: SamplerConfig,
         raise ValueError(f"unknown policy {cfg.policy}")
 
     kept = (0,) + tuple(sorted(set(int(i) for i in psi)))
-    return SampleResult(kept=kept, k_prime=len(kept) - 1,
-                        psi=tuple(int(i) for i in psi))
+    return SampleResult(kept=kept, psi=tuple(int(i) for i in psi))
 
 
 def sampled_attend(state: AttentionState, result: SampleResult,

@@ -156,6 +156,12 @@ class PrefixCache:
         return self.prefixes[key]
 
 
+def eval_rng(seed: int, i: int) -> Rng:
+    """The sampling stream of validation image i. Evaluation and the masks
+    command both draw from it, so the masks show what evaluation sampled."""
+    return Rng(seed, stream=1000 + i)
+
+
 def _require_samples(samples: list[ShapeSample], what: str) -> None:
     if not samples:
         raise ValueError(f"{what} needs at least one sample")
@@ -165,10 +171,10 @@ def evaluate(cfg: ModelConfig, weights: dict[str, Node],
              samples: list[ShapeSample], seed: int = 0,
              prefixes: PrefixCache | None = None) -> EvalResult:
     """Forward every sample in input order under no_grad and aggregate
-    accuracy, cost, and token counts. Image i samples with
-    Rng(seed, stream=1000 + i), so reruns are bit-identical. With prefixes,
-    each image's sampling-independent prefix is computed once per cache and
-    reused by every later call with the same first sampling stage."""
+    accuracy, cost, and token counts. Image i samples with eval_rng(seed, i),
+    so reruns are bit-identical. With prefixes, each image's
+    sampling-independent prefix is computed once per cache and reused by
+    every later call with the same first sampling stage."""
     _require_samples(samples, "evaluate")
     if prefixes is not None:
         prefixes.check(cfg, weights, samples)
@@ -176,7 +182,7 @@ def evaluate(cfg: ModelConfig, weights: dict[str, Node],
     with ag.no_grad():
         for i, s in enumerate(samples):
             prefix = None if prefixes is None else prefixes.get(cfg, i)
-            t = forward(s.image, cfg, weights, rng=Rng(seed, stream=1000 + i),
+            t = forward(s.image, cfg, weights, rng=eval_rng(seed, i),
                         prefix=prefix)
             tally.add(t, s.label, ag.cross_entropy(t.logits_node, s.label))
     return tally.result()

@@ -21,7 +21,7 @@ from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import (SampleResult, SamplerConfig, Scoring, build_cdf,
                              compute_scores, sample_indices, sampled_attend)
 from atsvit.trainer import evaluate, train
-from helpers import attention_state
+from helpers import attention_state, mul, sum_all
 
 # locked from the reference run (see decisions ledger): defaults-sized model,
 # 1024/256 split, 30 epochs at lr 2e-3, fine-tune 8 epochs at lr 3e-4
@@ -122,8 +122,7 @@ def test_criterion_03_no_drop_identity():
         t, d, heads = 2 + rng.integers(0, 9), 8, 2
         ws = _block_weights(rng, d, 2)
         tokens = rng.normal((t, d))
-        keep_all = SampleResult(kept=tuple(range(t)), k_prime=t - 1,
-                                psi=tuple(range(1, t)))
+        keep_all = SampleResult(kept=tuple(range(t)), psi=tuple(range(1, t)))
         plain = _block(ag.leaf(tokens), ws, heads).value
         sampled = _block(ag.leaf(tokens), ws, heads, keep_all).value
         rel = np.abs(plain - sampled) / (np.abs(plain) + 1e-12)
@@ -150,7 +149,7 @@ def test_criterion_04_gradient_fidelity():
 
         def f(x):
             out = _block(x, ws, heads, frozen)
-            return ag.sum_all(ag.mul(out, ag.leaf(target)))
+            return sum_all(mul(out, ag.leaf(target)))
 
         worst = max(worst, ag.grad_check(f, tokens, h=1e-5))
     elapsed = time.time() - start

@@ -175,7 +175,7 @@ def test_stacked_heads_bitwise_equal_per_head_loop_float32():
         assert out.dtype == np.float32
         assert np.array_equal(out, per_head_reference(tokens, *raw, heads))
         kept = (0, 2, 3, 7)
-        sampled = sampled_attend(state, SampleResult(kept, 3, (2, 3, 7)),
+        sampled = sampled_attend(state, SampleResult(kept, (2, 3, 7)),
                                  ow, ob).value
         assert np.array_equal(sampled,
                               per_head_reference(tokens, *raw, heads, kept))

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,13 +216,13 @@ def test_deeply_nested_config_fails_cleanly(tmp_path, capsys):
     assert err.startswith("error: ") and "nested too deeply" in err
 
 
+def no_data(*args, **kwargs):
+    raise AssertionError("images generated for invalid input")
+
+
 def test_heads_not_dividing_dim_fails_before_data(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "arch.json"
     cfg.write_text(json.dumps({"heads": 3}))
-
-    def no_data(*args, **kwargs):
-        raise AssertionError("images generated for an invalid config")
-
     monkeypatch.setattr("atsvit.cli.generate", no_data)
     rc = main(["train", "--config", str(cfg), "--epochs", "0", "--n-train", "1",
                "--n-val", "1", "--out", str(tmp_path / "w.atsw"), "--quiet"])
@@ -231,10 +234,6 @@ def test_heads_not_dividing_dim_fails_before_data(tmp_path, capsys, monkeypatch)
 def test_unknown_config_key_fails_before_data(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "arch.json"
     cfg.write_text(json.dumps({"head": 3}))
-
-    def no_data(*args, **kwargs):
-        raise AssertionError("images generated for an invalid config")
-
     monkeypatch.setattr("atsvit.cli.generate", no_data)
     rc = main(["train", "--config", str(cfg), "--epochs", "0", "--n-train", "1",
                "--n-val", "1", "--out", str(tmp_path / "w.atsw"), "--quiet"])
@@ -242,6 +241,24 @@ def test_unknown_config_key_fails_before_data(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown config keys ['head']" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["arch.json"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--clutter-scale", "inf"), ("--clutter-scale", "1e300"),
+    ("--clutter-scale", "nan"), ("--clutter-scale", "-1"),
+    ("--clutter-scale", "74"), ("--clutter-alpha", "-1"),
+    ("--clutter-alpha", "nan"), ("--clutter-beta", "0"),
+    ("--clutter-beta", "inf")])
+def test_bad_clutter_flag_fails_before_data(trained, tmp_path, capsys,
+                                            monkeypatch, flag, value):
+    monkeypatch.setattr("atsvit.cli.generate", no_data)
+    out = tmp_path / "e.json"
+    rc = main(["eval", "--weights", trained, "--out", str(out),
+               f"{flag}={value}", "--quiet"] + DATA)
+    assert rc == 1
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert not out.exists()
 
 
 class TestResolveBudget:
@@ -331,6 +348,18 @@ class TestSweep:
         assert main(["sweep", "--out", str(grid),
                      "--budgets", budgets] + common) == 0
         assert frac.read_bytes() == grid.read_bytes()
+
+    @pytest.mark.parametrize("fractions", ["nan,-1", "0", "inf", "0.5,nan"])
+    def test_bad_mac_fraction_fails_before_data(self, trained, tmp_path, capsys,
+                                                monkeypatch, fractions):
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        out = tmp_path / "frac.csv"
+        rc = main(["sweep", "--weights", trained, "--out", str(out),
+                   f"--mac-fraction={fractions}"] + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --mac-fraction values must be finite and positive")
+        assert not out.exists()
 
 
 class TestMasks:
@@ -445,3 +474,31 @@ class TestFinetuneCommand:
         _, after = load_weights(str(out))
         assert {k: v.shape for k, v in before.items()} == \
                {k: v.shape for k, v in after.items()}
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """eval and sweep on the stored baseline weights write the same bytes
+    whether BLAS runs one thread or two."""
+    commands = {
+        "eval.json": ["eval", "--ats-stages", "2,3,4,5", "--k", "8"],
+        "sweep.csv": ["sweep", "--budgets", "2,8", "--scorings", "cls-vnorm,rowsum"],
+    }
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = {name: [] for name in commands}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        for name, argv in commands.items():
+            out = tmp_path / f"threads{threads}_{name}"
+            subprocess.run(
+                [sys.executable, "-m", "atsvit", *argv, "--out", str(out),
+                 "--weights", str(REPO / "perfbench" / "weights" / "baseline.atsw"),
+                 "--n-val", "16", "--quiet"],
+                env=env, check=True, timeout=300)
+            outputs[name].append(out.read_bytes())
+    for name, (one, two) in outputs.items():
+        assert one == two, f"{name} differs between 1 and 2 BLAS threads"

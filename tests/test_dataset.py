@@ -148,3 +148,17 @@ class TestPgm:
 def test_manifest_validation():
     with pytest.raises(ValueError):
         DatasetManifest(seed=0, n_train=0, n_val=4)
+
+
+def test_largest_clutter_scale_fills_at_most_the_canvas():
+    """Scale 73 asks for up to 1,022 fragments, one per canvas pixel at
+    most, and still renders."""
+    train, _ = generate(DatasetManifest(seed=0, n_train=1, n_val=1,
+                                        clutter_scale=73.0))
+    assert 0.0 < train[0].clutter <= 73.0
+
+
+def test_beta_without_a_quantile_names_its_fields():
+    # scipy's betaincinv returns NaN for a shape parameter this large.
+    with pytest.raises(ValueError, match="clutter_alpha=1e.300"):
+        generate(DatasetManifest(seed=0, n_train=1, n_val=1, clutter_alpha=1e300))

@@ -1,6 +1,7 @@
-"""Fuzzing of the files the CLI reads from outside: weight files, PGM images
-and --config JSON. Every input must either load or end in `error: ...` with
-exit code 1; an exception escaping main fails the test."""
+"""Fuzzing of the inputs the CLI reads from outside: weight files, PGM
+images, --config JSON and the clutter flags of the dataset manifest. Every
+input must either load or end in `error: ...` with exit code 1; an exception
+escaping main fails the test."""
 
 import contextlib
 import io
@@ -114,6 +115,28 @@ def test_pgm_bytes(files):
         run_cli(["masks", "--weights", str(files / "tiny.atsw"),
                  "--out-dir", str(files / "masks"),
                  "--images", str(files / "fuzz.pgm")] + SAMPLING + DATA)
+
+    check()
+
+
+manifest_floats = st.floats() | st.sampled_from(
+    [0.0, -1.0, 1e-300, 1e300, 73.0, 74.0, float("inf"), float("nan")])
+manifests = st.dictionaries(
+    st.sampled_from(["--clutter-alpha", "--clutter-beta", "--clutter-scale"]),
+    manifest_floats, min_size=1)
+
+
+def test_manifest_floats(files):
+    @FUZZ
+    @given(manifests)
+    @example({"--clutter-scale": 1e300})
+    @example({"--clutter-scale": float("nan")})
+    @example({"--clutter-alpha": -1.0})
+    def check(flags):
+        run_cli(["eval", "--weights", str(files / "tiny.atsw"),
+                 "--out", str(files / "fuzz.json")]
+                + [f"{flag}={value!r}" for flag, value in flags.items()]
+                + SAMPLING + DATA)
 
     check()
 

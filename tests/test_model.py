@@ -174,7 +174,7 @@ class TestForward:
         plain = forward(img, cfg, w)
 
         n = cfg.num_patches
-        keep_all = SampleResult(kept=tuple(range(n + 1)), k_prime=n,
+        keep_all = SampleResult(kept=tuple(range(n + 1)),
                                 psi=tuple(range(1, n + 1)))
         monkeypatch.setattr(model_mod, "sample_indices",
                             lambda sv, scfg, rng=None: keep_all)

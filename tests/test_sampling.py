@@ -8,7 +8,7 @@ from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import (InverseRule, Policy, SampleResult, SamplerConfig,
                              Scoring, build_cdf, compute_scores,
                              sample_indices, sampled_attend)
-from helpers import attention_state
+from helpers import attention_state, mul, sum_all
 
 
 def brute_force_ceil(scores, k_budget):
@@ -349,8 +349,7 @@ class TestSampledAttend:
         d, heads, t = 8, 2, 6
         state = make_state(rng, t, d, heads)
         ow, ob = ag.leaf(rng.normal((d, d), 0.5)), ag.leaf(rng.normal((d,), 0.2))
-        res = SampleResult(kept=tuple(range(t)), k_prime=t - 1,
-                           psi=tuple(range(1, t)))
+        res = SampleResult(kept=tuple(range(t)), psi=tuple(range(1, t)))
         full = attend(state, ow, ob)
         sampled = sampled_attend(state, res, ow, ob)
         assert np.array_equal(full.value, sampled.value)
@@ -360,7 +359,7 @@ class TestSampledAttend:
         d, heads, t = 8, 2, 6
         state = make_state(rng, t, d, heads)
         ow, ob = ag.leaf(rng.normal((d, d), 0.5)), ag.leaf(rng.normal((d,), 0.2))
-        res = SampleResult(kept=(0,), k_prime=0, psi=())
+        res = SampleResult(kept=(0,), psi=())
         full = attend(state, ow, ob)
         sampled = sampled_attend(state, res, ow, ob)
         assert np.allclose(sampled.value, full.value[:1], atol=1e-15)
@@ -400,6 +399,6 @@ def test_gradients_with_frozen_indices_match_finite_differences():
     def f(x):
         state = attention_state(x, ag.leaf(qw), ag.leaf(qb), heads)
         out = sampled_attend(state, frozen, ag.leaf(ow), ag.leaf(ob))
-        return ag.sum_all(ag.mul(out, ag.leaf(target)))
+        return sum_all(mul(out, ag.leaf(target)))
 
     assert ag.grad_check(f, tok0, h=1e-5) <= 1e-6
