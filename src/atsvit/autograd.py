@@ -9,9 +9,15 @@ gradient: they allocate .grad lazily as zeros and accumulate with +=, so a
 fresh pass requires explicit zeroing (zero_grads). Intermediate gradients
 live only for the duration of one backward() call.
 
+Each op that computes values checks them for NaN and Inf, so an overflow
+names the op that made it. The copy ops (transpose, gather_rows, slice_cols,
+split_cols, concat_cols, concat_rows) skip the check: a copy of a checked
+array cannot turn non-finite, and a non-finite leaf they pass on is reported
+by the next computing op.
+
 Inside no_grad() nothing is recorded: every op computes its value with the
-same numpy calls and the same finite check, but builds no vjp closures and
-returns a Node with no parents, so an inference pass keeps no graph alive.
+same numpy calls and the same check, but builds no vjp closures and returns
+a Node with no parents, so an inference pass keeps no graph alive.
 Recording is one process-wide flag, on by default; the tape is not meant to
 be driven from more than one thread at a time.
 """
@@ -38,7 +44,7 @@ class Node:
     def __init__(self, value: np.ndarray, parents: tuple = ()):
         self.value = value
         self.grad: np.ndarray | None = None
-        self.parents = parents  # tuple of (Node, vjp) pairs
+        self.parents = parents or ()  # (Node, vjp) pairs, or False when not recording
         self.seq = next(_creation)  # unique, so heap entries never compare Nodes
 
     @property
@@ -65,20 +71,18 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
-def leaf(value, dtype=None) -> Node:
+def leaf(value) -> Node:
     """Wrap an array as a graph leaf. Leaves accumulate but never propagate."""
-    arr = np.asarray(value, dtype=dtype)
+    arr = np.asarray(value)
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(numerics.TEST_DTYPE)
     return Node(arr)
 
 
 def _make(op: str, value: np.ndarray, parents) -> Node:
-    """Every op ends here. Ops pass `_recording and (...)` as parents, so
-    outside recording the (node, vjp) tuple is never built and parents
-    arrives as False."""
+    """Every op that computes values ends here."""
     assert_finite(op, value)
-    return Node(value, parents or ())
+    return Node(value, parents)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -92,7 +96,7 @@ def add_row(a: Node, row: Node) -> Node:
     """Broadcast-add a length-n row vector to every row of an (m, n) matrix."""
     return _make("add_row", a.value + row.value,
                  _recording and ((a, lambda g: g),
-                                 (row, lambda g: g.sum(axis=0))))
+                                 (row, lambda g: np.add.reduce(g, axis=0))))
 
 
 def scale(a: Node, c: float) -> Node:
@@ -100,30 +104,25 @@ def scale(a: Node, c: float) -> Node:
                  _recording and ((a, lambda g: g * c),))
 
 
-def _mT(x: np.ndarray) -> np.ndarray:
-    """Each matrix of a stack transposed (a view)."""
-    return np.swapaxes(x, -1, -2)
-
-
 def matmul(a: Node, b: Node) -> Node:
     """Matrix product; stacked operands multiply matrix by matrix."""
     v = numerics.matmul(a.value, b.value)
     return _make("matmul", v,
-                 _recording and ((a, lambda g: g @ _mT(b.value)),
-                                 (b, lambda g: _mT(a.value) @ g)))
+                 _recording and ((a, lambda g: g @ b.value.swapaxes(-1, -2)),
+                                 (b, lambda g: a.value.swapaxes(-1, -2) @ g)))
 
 
 def transpose(a: Node) -> Node:
     """Swap the last two axes. The copy keeps the result C-contiguous, so
     a product with it gets the same BLAS call as one with a fresh matrix."""
-    return _make("transpose", _mT(a.value).copy(),
-                 _recording and ((a, _mT),))
+    return Node(a.value.swapaxes(-1, -2).copy(),
+                _recording and ((a, lambda g: g.swapaxes(-1, -2)),))
 
 
 def softmax_rows(a: Node) -> Node:
     y = numerics.softmax_rows(a.value)
     return _make("softmax_rows", y, _recording and (
-        (a, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))),))
+        (a, lambda g: y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))),))
 
 
 def _row_mean(x):
@@ -145,15 +144,15 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
     out = xhat * gamma.value + beta.value
     return _make("layer_norm", out, _recording and (
         (x, lambda g, gv=gamma.value: _layer_norm_vjp(g, xhat, inv_std, gv)),
-        (gamma, lambda g: (g * xhat).sum(axis=0)),
-        (beta, lambda g: g.sum(axis=0)),
+        (gamma, lambda g: np.add.reduce(g * xhat, axis=0)),
+        (beta, lambda g: np.add.reduce(g, axis=0)),
     ))
 
 
 def gelu(x: Node) -> Node:
-    return _make("gelu", numerics.gelu(x.value),
-                 _recording and (
-                     (x, lambda g: g * numerics.gelu_grad(x.value)),))
+    y, cdf = numerics.gelu(x.value)
+    return _make("gelu", y, _recording and (
+        (x, lambda g: g * numerics.gelu_grad(x.value, cdf)),))
 
 
 def _scatter_rows(g, idx, shape, dtype):
@@ -168,7 +167,7 @@ def gather_rows(a: Node, idx: Sequence[int]) -> Node:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[-2]):
         raise IndexError(f"row index out of range for shape {a.shape}")
-    return _make("gather_rows", a.value[..., idx, :].copy(), _recording and (
+    return Node(a.value[..., idx, :].copy(), _recording and (
         (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
             _scatter_rows(g, idx, shape, dtype)),))
 
@@ -180,7 +179,7 @@ def _pad_cols(g, start, stop, shape, dtype):
 
 
 def slice_cols(a: Node, start: int, stop: int) -> Node:
-    return _make("slice_cols", a.value[:, start:stop].copy(), _recording and (
+    return Node(a.value[:, start:stop].copy(), _recording and (
         (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
             _pad_cols(g, start, stop, shape, dtype)),))
 
@@ -194,25 +193,24 @@ def _merge_cols(x: np.ndarray) -> np.ndarray:
 def split_cols(a: Node, n: int) -> Node:
     """(m, n*w) -> (n, m, w): column block i becomes matrix i of a stack."""
     m, cols = a.value.shape
-    return _make("split_cols",
-                 a.value.reshape(m, n, cols // n).transpose(1, 0, 2).copy(),
-                 _recording and ((a, _merge_cols),))
+    return Node(a.value.reshape(m, n, cols // n).transpose(1, 0, 2).copy(),
+                _recording and ((a, _merge_cols),))
 
 
 def concat_cols(a: Node) -> Node:
     """(n, m, w) -> (m, n*w), the inverse of split_cols."""
     n, m, w = a.value.shape
-    return _make("concat_cols", _merge_cols(a.value), _recording and (
+    return Node(_merge_cols(a.value), _recording and (
         (a, lambda g: g.reshape(m, n, w).transpose(1, 0, 2)),))
 
 
 def concat_rows(nodes: Sequence[Node]) -> Node:
     heights = [n.value.shape[0] for n in nodes]
     offsets = np.cumsum([0] + heights)
-    return _make("concat_rows", np.concatenate([n.value for n in nodes], axis=0),
-                 _recording and tuple(
-                     (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e]))
-                     for i, n in enumerate(nodes)))
+    return Node(np.concatenate([n.value for n in nodes], axis=0),
+                _recording and tuple(
+                    (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e]))
+                    for i, n in enumerate(nodes)))
 
 
 def _cross_entropy_vjp(g, shifted, lse, label, shape):

@@ -47,12 +47,29 @@ def _parse_stages(text: str) -> tuple[int, ...]:
     return tuple(sorted({int(t) for t in text.split(",")}))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _parse_list(flag: str, text: str, parse) -> list:
+    """The comma-separated values of a sweep row flag, each read by parse.
+    No value at all, or one that parse refuses, is an error naming the flag."""
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    try:
+        return [parse(t) for t in items]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _parse_budgets(text: str, num_patches: int) -> list[int]:
+    budgets = _parse_list("--budgets", text, int)
+    for k in budgets:
+        if not 1 <= k <= num_patches:
+            raise ValueError(f"--budgets values must lie in [1, {num_patches}], "
+                             f"got {k}")
+    return budgets
 
 
 def _parse_fractions(text: str) -> list[float]:
-    fractions = [float(t) for t in text.split(",") if t.strip()]
+    fractions = _parse_list("--mac-fraction", text, float)
     if not all(0 < f < math.inf for f in fractions):
         raise ValueError(f"--mac-fraction values must be finite and positive, "
                          f"got {text}")
@@ -64,13 +81,18 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON file with architecture fields")
     p.add_argument("--ats-stages", type=str, default="",
                    help="comma-separated block indices for token sampling")
+    p.add_argument("--inverse-rule", choices=[x.value for x in InverseRule],
+                   default=InverseRule.CEIL.value)
+
+
+def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
+    """The one sampler setting a model runs with; a sweep takes its rows'
+    settings from --budgets/--mac-fraction, --policies and --scorings."""
     p.add_argument("--k", type=int, default=None, help="token budget")
     p.add_argument("--policy", choices=[x.value for x in Policy],
                    default=Policy.INVERSE.value)
     p.add_argument("--scoring", choices=[x.value for x in Scoring],
                    default=Scoring.CLS_VNORM.value)
-    p.add_argument("--inverse-rule", choices=[x.value for x in InverseRule],
-                   default=InverseRule.CEIL.value)
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -223,12 +245,18 @@ def resolve_budget(cfg: ModelConfig, weights, val_set, fractions: list[float],
 
 
 def cmd_sweep(args) -> int:
-    fractions = _parse_fractions(args.mac_fraction) if args.mac_fraction else None
-    base_cfg, weights = _load_model(args)
+    arch, tensors = load_weights(args.weights)
+    if args.mac_fraction is None:
+        fractions, budgets = None, _parse_budgets(args.budgets, arch.num_patches)
+    else:
+        fractions, budgets = _parse_fractions(args.mac_fraction), None
+    policies = _parse_list("--policies", args.policies, Policy)
+    scorings = _parse_list("--scorings", args.scorings, Scoring)
     stages = _parse_stages(args.ats_stages) or (2, 3, 4, 5)
+    base_cfg = arch.with_sampling(stages, k=arch.num_patches,
+                                  inverse_rule=InverseRule(args.inverse_rule))
+    weights = as_nodes(tensors, dtype=FAST_DTYPE)
     _, val_set = generate(_manifest(args), train=False)
-    policies = [Policy(p) for p in args.policies.split(",")]
-    scorings = [Scoring(s) for s in args.scorings.split(",")]
     baseline = static_macs(base_cfg)
     # Every config below shares its first sampling stage, so each image's
     # prefix is computed once for the whole call.
@@ -246,7 +274,7 @@ def cmd_sweep(args) -> int:
                 results = [(k, evaluate(combo_cfg.with_sampling(stages, k=k),
                                         weights, val_set, seed=args.seed,
                                         prefixes=prefixes))
-                           for k in _parse_int_list(args.budgets)]
+                           for k in budgets]
             rows += [{"schema": 1, "policy": policy.value,
                       "scoring": scoring.value, "k": k, "top1": f"{ev.top1:.6f}",
                       "mean_macs": f"{ev.mean_macs:.1f}",
@@ -311,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output weight file")
     p.add_argument("--metrics", default=None, help="metrics CSV path")
     _add_model_flags(p)
+    _add_sampler_flags(p)
     _add_data_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -321,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
     _add_model_flags(p)
+    _add_sampler_flags(p)
     _add_data_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_finetune)
@@ -331,10 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.add_argument("--quiet", action="store_true")
     _add_model_flags(p)
+    _add_sampler_flags(p)
     _add_data_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="budget sweep over policies and scorings")
+    # No abbreviations: --scoring, a flag sweep does not take, would read as
+    # --scorings.
+    p = sub.add_parser("sweep", help="budget sweep over policies and scorings",
+                       allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True, help="sweep CSV path")
@@ -358,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PGM inputs; defaults to generated validation images")
     p.add_argument("--count", type=int, default=8)
     _add_model_flags(p)
+    _add_sampler_flags(p)
     _add_data_flags(p)
     p.set_defaults(func=cmd_masks)
 

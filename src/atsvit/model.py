@@ -255,7 +255,7 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
     stage_counts = [(cfg.num_tokens, cfg.num_tokens)] * prefix.stage
     samples: dict[int, SampleResult] = {}
     alive: dict[int, tuple[int, ...]] = {}
-    ids = tuple(range(cfg.num_tokens))
+    ids = np.arange(cfg.num_tokens)
 
     for i in range(prefix.stage, cfg.depth):
         p = f"block{i}."
@@ -268,9 +268,9 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
             attn_out = sampled_attend(state, result,
                                       weights[p + "out.w"], weights[p + "out.b"])
             tokens = ag.add(ag.gather_rows(tokens, result.kept), attn_out)
-            ids = tuple(ids[j] for j in result.kept)
+            ids = ids[list(result.kept)]
             samples[i] = result
-            alive[i] = ids
+            alive[i] = tuple(ids.tolist())
         else:
             tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
                                            weights[p + "out.b"]))

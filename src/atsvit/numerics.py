@@ -50,14 +50,15 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-CDF GELU: x * Phi(x). No tanh approximation."""
-    return x * ndtr(x)
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gaussian-CDF GELU x * Phi(x), and the Phi(x) gelu_grad reuses."""
+    cdf = ndtr(x)
+    return x * cdf, cdf
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx of x * Phi(x) = Phi(x) + x * phi(x)."""
-    return ndtr(x) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx of x * Phi(x) = Phi(x) + x * phi(x), given cdf = Phi(x)."""
+    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class SamplerConfig:
         if self.k < 1:
             raise ValueError("budget must be at least 1")
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
         """Fixed evaluation points {1/K, ..., K/K}; last is exactly 1."""
         return np.arange(1, self.k + 1, dtype=np.float64) / self.k
@@ -167,8 +168,8 @@ def sample_indices(sv: ScoreVector, cfg: SamplerConfig,
     else:
         raise ValueError(f"unknown policy {cfg.policy}")
 
-    kept = (0,) + tuple(sorted(set(int(i) for i in psi)))
-    return SampleResult(kept=kept, psi=tuple(int(i) for i in psi))
+    psi = psi.tolist()
+    return SampleResult(kept=(0,) + tuple(sorted(set(psi))), psi=tuple(psi))
 
 
 def sampled_attend(state: AttentionState, result: SampleResult,

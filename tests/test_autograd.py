@@ -113,12 +113,43 @@ def test_node_built_under_no_grad_is_a_leaf():
     assert x.grad is None
 
 
-def test_overflow_is_an_error():
-    big = ag.leaf(np.full((2, 2), 1e300))
+def _huge():
+    return ag.leaf(np.full((2, 2), 1e308))
+
+
+# Each computing op on operands that make it overflow. softmax_rows and gelu
+# stay finite on any finite input, so they get an infinite one.
+COMPUTING_OPS = {
+    "add": lambda: ag.add(_huge(), _huge()),
+    "add_row": lambda: ag.add_row(_huge(), ag.leaf(np.full(2, 1e308))),
+    "scale": lambda: ag.scale(_huge(), 10.0),
+    "matmul": lambda: ag.matmul(_huge(), _huge()),
+    "softmax_rows": lambda: ag.softmax_rows(ag.leaf(np.array([[np.inf, 0.0]]))),
+    "layer_norm": lambda: ag.layer_norm(_huge(), ag.leaf(np.ones(2)),
+                                        ag.leaf(np.zeros(2))),
+    "gelu": lambda: ag.gelu(ag.leaf(np.array([[np.inf, 0.0]]))),
+    "cross_entropy": lambda: ag.cross_entropy(ag.leaf(np.array([[1e308, -1e308]])), 1),
+}
+
+
+@pytest.mark.parametrize("op", list(COMPUTING_OPS))
+def test_overflow_is_an_error(op):
     for mode in (contextlib.nullcontext(), ag.no_grad()):
-        with np.errstate(over="ignore"), mode:
-            with pytest.raises(NonFiniteError, match="matmul"):
-                ag.matmul(big, big)
+        with np.errstate(over="ignore", invalid="ignore"), mode:
+            with pytest.raises(NonFiniteError, match=f"in {op}$"):
+                COMPUTING_OPS[op]()
+
+
+def test_non_finite_leaf_through_a_copy_op_trips_the_next_computing_op():
+    x = ag.leaf(np.array([[np.inf, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]]))
+    for mode in (contextlib.nullcontext(), ag.no_grad()):
+        with np.errstate(invalid="ignore"), mode:
+            copies = [ag.transpose(x), ag.gather_rows(x, (1, 0)),
+                      ag.slice_cols(x, 0, 2), ag.split_cols(x, 2),
+                      ag.concat_cols(ag.split_cols(x, 2)), ag.concat_rows([x, x])]
+            for copy in copies:
+                with pytest.raises(NonFiniteError, match="in scale$"):
+                    ag.scale(copy, 1.0)
 
 
 def _every_op(x, w, row):

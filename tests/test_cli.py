@@ -194,6 +194,19 @@ class TestMalformedWeights:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_nan_cls_reported_by_the_add_after_the_copy(self, trained, tmp_path,
+                                                          capsys):
+        # concat_rows only copies cls into the token rows; the positional add
+        # that follows is the first op to compute with it.
+        cfg, tensors = load_weights(trained)
+        tensors["cls"][0, 0] = np.nan
+        bad = tmp_path / "nan.atsw"
+        save_weights(str(bad), cfg, as_nodes(tensors))
+        rc = main(["eval", "--weights", str(bad), "--out", str(tmp_path / "e.json"),
+                   "--quiet"] + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: non-finite values in add\n"
+
 
 @pytest.mark.parametrize("body", ["[1, 2]", '"dim"', "null"],
                          ids=["list", "string", "null"])
@@ -360,6 +373,39 @@ class TestSweep:
         assert capsys.readouterr().err.startswith(
             "error: --mac-fraction values must be finite and positive")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--budgets", "", "needs at least one value"),
+        ("--budgets", "2,x", "invalid literal for int()"),
+        ("--budgets", "0", "values must lie in [1, 16], got 0"),
+        ("--budgets", "4,17", "values must lie in [1, 16], got 17"),
+        ("--mac-fraction", "", "needs at least one value"),
+        ("--mac-fraction", "0.5,x", "could not convert string to float"),
+        ("--policies", "", "needs at least one value"),
+        ("--policies", "inverse,bogus", "'bogus' is not a valid Policy"),
+        ("--scorings", ",", "needs at least one value"),
+        ("--scorings", "bogus", "'bogus' is not a valid Scoring"),
+    ])
+    def test_bad_row_flag_fails_before_data(self, trained, tmp_path, capsys,
+                                            monkeypatch, flag, value, message):
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--weights", trained, "--out", str(out),
+                   "--ats-stages", "1,2", f"{flag}={value}"] + DATA)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--k", "4"), ("--policy", "topk"),
+                                            ("--scoring", "cls")])
+    def test_single_sampler_flag_is_a_usage_error(self, trained, tmp_path,
+                                                  flag, value):
+        # A sweep takes every row's sampler setting from its row flags.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--weights", trained, "--out",
+                  str(tmp_path / "sweep.csv"), flag, value] + DATA)
+        assert exc.value.code == 2
 
 
 class TestMasks:

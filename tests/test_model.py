@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from atsvit import autograd as ag
+from atsvit import numerics
 from atsvit.container import BadMagicError, TruncatedPayloadError
 from atsvit.model import (ModelConfig, ShapeMismatchError, extract_patches,
                           forward, init_weights, load_weights, patch_embed,
@@ -220,6 +221,35 @@ def test_no_grad_forward_is_bitwise_equal(case):
     assert recorded.samples == bare.samples
     assert recorded.alive == bare.alive
     assert recorded.logits_node.parents and bare.logits_node.parents == ()
+
+
+class TestWorkDoneOnce:
+    def test_one_cdf_evaluation_per_gelu(self, monkeypatch):
+        """backward reuses the Phi(x) its GELU's forward computed."""
+        calls = []
+        ndtr = numerics.ndtr
+        monkeypatch.setattr(numerics, "ndtr",
+                            lambda x: calls.append(x.shape) or ndtr(x))
+        cfg = ModelConfig()
+        trace = forward(Rng(9).uniform((32, 32, 1)), cfg,
+                        init_weights(cfg, Rng(2)))
+        ag.backward(ag.cross_entropy(trace.logits_node, 1))
+        assert len(calls) == cfg.depth == 6
+
+    def test_finite_checks_only_where_values_are_computed(self, monkeypatch):
+        checked, computed = [], []
+        monkeypatch.setattr(ag, "assert_finite", lambda op, x: checked.append(op))
+        for op in ("add", "add_row", "scale", "matmul", "softmax_rows",
+                   "layer_norm", "gelu", "cross_entropy"):
+            monkeypatch.setattr(ag, op, lambda *a, _op=op, _f=getattr(ag, op):
+                                computed.append(_op) or _f(*a))
+        cfg = ModelConfig()
+        with ag.no_grad():
+            forward(Rng(9).uniform((32, 32, 1)), cfg, init_weights(cfg, Rng(2)))
+        assert sorted(checked) == sorted(computed)
+        # Patch embedding and head compute 3 nodes each, a block 17 of its 25:
+        # its 3 slice_cols, 3 split_cols, transpose and concat_cols only copy.
+        assert len(checked) == 3 + 17 * cfg.depth + 3
 
 
 class TestSamplingIsParameterFree:
