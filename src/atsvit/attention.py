@@ -7,6 +7,12 @@ keys and values, attention_matrix turns queries and keys into the attention
 node, and attend mixes the values and projects them. Weights use a fused
 (d, 3d) QKV projection; head i owns columns [i*hd, (i+1)*hd) of each of the
 q/k/v column blocks, in that order.
+
+Several images of T tokens each can run as one pass: their tokens are the
+(images*T, d) rows, image b owning rows [b*T, (b+1)*T), and their heads are
+the (images*heads, T, head_dim) stacks, image b owning matrices
+[b*heads, (b+1)*heads). Every product is then the same per-matrix or
+per-row product a single image gets.
 """
 
 from __future__ import annotations
@@ -21,21 +27,22 @@ from .autograd import Node
 @dataclass(frozen=True)
 class AttentionState:
     """Row-stochastic attention matrices (heads, T_out, T) and value rows
-    (heads, T, head_dim). T_out is T, or the retained count once rows are
-    sampled."""
+    (heads, T, head_dim), or their stacks over images. T_out is T, or the
+    retained count once rows are sampled."""
     attn: Node
     v: Node
 
 
-def project_qkv(tokens: Node, qkv_w: Node, qkv_b: Node,
-                heads: int) -> tuple[Node, Node, Node]:
+def project_qkv(tokens: Node, qkv_w: Node, qkv_b: Node, heads: int,
+                images: int = 1) -> tuple[Node, Node, Node]:
     """Fused linear projection of tokens into per-head queries, keys and
-    values, each (heads, T, head_dim)."""
+    values, each (images*heads, T, head_dim)."""
     d = tokens.shape[-1]
     if qkv_w.shape != (d, 3 * d):
         raise ValueError(f"qkv weight shape {qkv_w.shape}, expected {(d, 3 * d)}")
     fused = ag.add_row(ag.matmul(tokens, qkv_w), qkv_b)
-    q, k, v = (ag.split_cols(ag.slice_cols(fused, i * d, (i + 1) * d), heads)
+    q, k, v = (ag.split_cols(ag.slice_cols(fused, i * d, (i + 1) * d), heads,
+                             images)
                for i in range(3))
     return q, k, v
 
@@ -48,7 +55,8 @@ def attention_matrix(q: Node, k: Node) -> Node:
     return ag.softmax_rows(ag.scale(ag.matmul(q, ag.transpose(k)), inv))
 
 
-def attend(state: AttentionState, out_w: Node, out_b: Node) -> Node:
+def attend(state: AttentionState, out_w: Node, out_b: Node,
+           images: int = 1) -> Node:
     """Attention-weighted value mix of every head, concatenated and projected."""
     mixed = ag.matmul(state.attn, state.v)
-    return ag.add_row(ag.matmul(ag.concat_cols(mixed), out_w), out_b)
+    return ag.add_row(ag.matmul(ag.concat_cols(mixed, images), out_w), out_b)

@@ -71,6 +71,11 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
+def recording() -> bool:
+    """Whether ops record their vjps now: False inside no_grad."""
+    return _recording
+
+
 def leaf(value) -> Node:
     """Wrap an array as a graph leaf. Leaves accumulate but never propagate."""
     arr = np.asarray(value)
@@ -164,10 +169,10 @@ def _scatter_rows(g, idx, shape, dtype):
 def gather_rows(a: Node, idx: Sequence[int]) -> Node:
     """Select rows (axis -2, so the rows of every matrix of a stack) by
     index; the gradient scatter-adds back (handles repeats)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[-2]):
+    # np.take wraps negative indices, so they are refused here.
+    if idx and (min(idx) < 0 or max(idx) >= a.value.shape[-2]):
         raise IndexError(f"row index out of range for shape {a.shape}")
-    return Node(a.value[..., idx, :].copy(), _recording and (
+    return Node(np.take(a.value, idx, axis=-2), _recording and (
         (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
             _scatter_rows(g, idx, shape, dtype)),))
 
@@ -184,33 +189,48 @@ def slice_cols(a: Node, start: int, stop: int) -> Node:
             _pad_cols(g, start, stop, shape, dtype)),))
 
 
-def _merge_cols(x: np.ndarray) -> np.ndarray:
-    """(n, m, w) -> (m, n*w): matrix i of the stack becomes column block i."""
-    n, m, w = x.shape
-    return x.transpose(1, 0, 2).reshape(m, n * w)
+def _stack(x: np.ndarray, n: int, images: int) -> np.ndarray:
+    """(images*m, n*w) -> (images*n, m, w): column block i of image b's m
+    rows becomes matrix b*n + i of the stack. A view where numpy can make
+    one."""
+    rows, cols = x.shape
+    m, w = rows // images, cols // n
+    return (x.reshape(images, m, n, w).transpose(0, 2, 1, 3)
+             .reshape(images * n, m, w))
 
 
-def split_cols(a: Node, n: int) -> Node:
-    """(m, n*w) -> (n, m, w): column block i becomes matrix i of a stack."""
-    m, cols = a.value.shape
-    return Node(a.value.reshape(m, n, cols // n).transpose(1, 0, 2).copy(),
-                _recording and ((a, _merge_cols),))
+def _unstack(x: np.ndarray, images: int) -> np.ndarray:
+    """(images*n, m, w) -> (images*m, n*w), the inverse of _stack."""
+    rows, m, w = x.shape
+    n = rows // images
+    return (x.reshape(images, n, m, w).transpose(0, 2, 1, 3)
+             .reshape(images * m, n * w))
 
 
-def concat_cols(a: Node) -> Node:
-    """(n, m, w) -> (m, n*w), the inverse of split_cols."""
-    n, m, w = a.value.shape
-    return Node(_merge_cols(a.value), _recording and (
-        (a, lambda g: g.reshape(m, n, w).transpose(1, 0, 2)),))
+def split_cols(a: Node, n: int, images: int = 1) -> Node:
+    """(images*m, n*w) -> (images*n, m, w): the rows hold the m-row matrices
+    of `images` images, and column block i of image b becomes matrix b*n + i
+    of a stack."""
+    return Node(np.ascontiguousarray(_stack(a.value, n, images)),
+                _recording and ((a, lambda g: _unstack(g, images)),))
+
+
+def concat_cols(a: Node, images: int = 1) -> Node:
+    """(images*n, m, w) -> (images*m, n*w), the inverse of split_cols."""
+    n = a.value.shape[0] // images
+    return Node(_unstack(a.value, images), _recording and (
+        (a, lambda g: _stack(g, n, images)),))
+
+
+def _row_blocks(nodes: Sequence[Node]) -> tuple:
+    offsets = np.cumsum([0] + [n.value.shape[0] for n in nodes])
+    return tuple((n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e]))
+                 for i, n in enumerate(nodes))
 
 
 def concat_rows(nodes: Sequence[Node]) -> Node:
-    heights = [n.value.shape[0] for n in nodes]
-    offsets = np.cumsum([0] + heights)
     return Node(np.concatenate([n.value for n in nodes], axis=0),
-                _recording and tuple(
-                    (n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e]))
-                    for i, n in enumerate(nodes)))
+                _recording and _row_blocks(nodes))
 
 
 def _cross_entropy_vjp(g, shifted, lse, label, shape):

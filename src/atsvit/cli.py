@@ -77,8 +77,6 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file with architecture fields")
     p.add_argument("--ats-stages", type=str, default="",
                    help="comma-separated block indices for token sampling")
     p.add_argument("--inverse-rule", choices=[x.value for x in InverseRule],
@@ -338,6 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output weight file")
     p.add_argument("--metrics", default=None, help="metrics CSV path")
+    # Only train reads an architecture; the other commands take theirs from
+    # the weight file.
+    p.add_argument("--config", type=str, default=None,
+                   help="JSON file with architecture fields")
     _add_model_flags(p)
     _add_sampler_flags(p)
     _add_data_flags(p)

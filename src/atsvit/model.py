@@ -14,7 +14,7 @@ so enabling it on a trained model cannot change the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -176,15 +176,24 @@ def extract_patches(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
                .reshape(cfg.num_patches, p * p * cfg.channels))
 
 
-def patch_embed(image: np.ndarray, weights: dict[str, Node],
+def patch_embed(images: Sequence[np.ndarray], weights: dict[str, Node],
                 cfg: ModelConfig) -> Node:
     """Linear projection of flattened patches, CLS prepended at row 0,
-    learned positional embeddings added."""
+    learned positional embeddings added. The images' tokens are stacked as
+    rows: image b owns rows [b*T, (b+1)*T)."""
     dtype = weights["patch.w"].value.dtype
-    patches = ag.leaf(extract_patches(image, cfg).astype(dtype))
+    patches = ag.leaf(np.concatenate([extract_patches(im, cfg)
+                                      for im in images]).astype(dtype))
     projected = ag.add_row(ag.matmul(patches, weights["patch.w"]), weights["patch.b"])
-    tokens = ag.concat_rows([weights["cls"], projected])
-    return ag.add(tokens, weights["pos"])
+    tokens, pos = ag.concat_rows([weights["cls"], projected]), weights["pos"]
+    if len(images) > 1:
+        # The one CLS row leads; give each image its own, then its patches.
+        n, t = cfg.num_patches, cfg.num_tokens
+        tokens = ag.gather_rows(tokens, [0 if j == 0 else b * n + j
+                                         for b in range(len(images))
+                                         for j in range(t)])
+        pos = ag.gather_rows(pos, list(range(t)) * len(images))
+    return ag.add(tokens, pos)
 
 
 @dataclass
@@ -204,10 +213,10 @@ def first_stage(cfg: ModelConfig) -> int:
 
 
 def _attention_state(tokens: Node, weights: dict[str, Node], p: str,
-                     heads: int) -> AttentionState:
+                     heads: int, images: int = 1) -> AttentionState:
     normed = ag.layer_norm(tokens, weights[p + "ln1.g"], weights[p + "ln1.b"])
     q, k, v = project_qkv(normed, weights[p + "qkv.w"], weights[p + "qkv.b"],
-                          heads)
+                          heads, images)
     return AttentionState(attention_matrix(q, k), v)
 
 
@@ -220,21 +229,40 @@ def _mlp_residual(tokens: Node, weights: dict[str, Node], p: str) -> Node:
     return ag.add(tokens, mlp_out)
 
 
-def forward_prefix(image: np.ndarray, cfg: ModelConfig,
-                   weights: dict[str, Node]) -> Prefix:
+def forward_prefix(images: Sequence[np.ndarray], cfg: ModelConfig,
+                   weights: dict[str, Node]) -> list[Prefix]:
     """Patch embedding, every block before the first sampling stage, and that
-    stage's LN1, QKV projection and attention matrix. Draws no random words."""
+    stage's LN1, QKV projection and attention matrix, for all images in one
+    stacked pass. Draws no random words.
+
+    One image gets the pass's own nodes. Several get nodes over views of the
+    stacked values, which carry no gradient, so they are built only under
+    no_grad."""
+    n = len(images)
+    if n > 1 and ag.recording():
+        raise ValueError("a prefix of several images is built only under no_grad")
     stage = first_stage(cfg)
-    tokens = patch_embed(image, weights, cfg)
+    tokens = patch_embed(images, weights, cfg)
     for i in range(stage):
         p = f"block{i}."
-        state = _attention_state(tokens, weights, p, cfg.heads)
+        state = _attention_state(tokens, weights, p, cfg.heads, n)
         tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
-                                       weights[p + "out.b"]))
+                                       weights[p + "out.b"], n))
         tokens = _mlp_residual(tokens, weights, p)
-    state = (_attention_state(tokens, weights, f"block{stage}.", cfg.heads)
+    state = (_attention_state(tokens, weights, f"block{stage}.", cfg.heads, n)
              if stage < cfg.depth else None)
-    return Prefix(stage=stage, tokens=tokens, state=state)
+    if n == 1:
+        return [Prefix(stage=stage, tokens=tokens, state=state)]
+
+    def per_image(node: Node) -> list[Node]:
+        size = node.shape[0] // n
+        return [Node(node.value[b * size:(b + 1) * size]) for b in range(n)]
+
+    states = ([None] * n if state is None else
+              [AttentionState(a, v) for a, v in zip(per_image(state.attn),
+                                                    per_image(state.v))])
+    return [Prefix(stage=stage, tokens=x, state=s)
+            for x, s in zip(per_image(tokens), states)]
 
 
 def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
@@ -247,7 +275,7 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
     stage, skips that work; without it the pass builds its own.
     """
     if prefix is None:
-        prefix = forward_prefix(image, cfg, weights)
+        prefix, = forward_prefix([image], cfg, weights)
     elif prefix.stage != first_stage(cfg):
         raise ValueError(f"prefix ends at block {prefix.stage}, but the first "
                          f"sampling stage is {first_stage(cfg)}")
@@ -255,7 +283,7 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
     stage_counts = [(cfg.num_tokens, cfg.num_tokens)] * prefix.stage
     samples: dict[int, SampleResult] = {}
     alive: dict[int, tuple[int, ...]] = {}
-    ids = np.arange(cfg.num_tokens)
+    ids = tuple(range(cfg.num_tokens))
 
     for i in range(prefix.stage, cfg.depth):
         p = f"block{i}."
@@ -268,9 +296,9 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
             attn_out = sampled_attend(state, result,
                                       weights[p + "out.w"], weights[p + "out.b"])
             tokens = ag.add(ag.gather_rows(tokens, result.kept), attn_out)
-            ids = ids[list(result.kept)]
+            ids = tuple(ids[j] for j in result.kept)
             samples[i] = result
-            alive[i] = tuple(ids.tolist())
+            alive[i] = ids
         else:
             tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
                                            weights[p + "out.b"]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -122,12 +123,23 @@ class _Tally:
             kprime={s: np.array(v, dtype=np.int64) for s, v in self.kprime.items()})
 
 
+# Images per stacked forward_prefix pass in evaluate. Measured over 8, 16,
+# 32 and 64 on the eval-adaptive passes; see CHANGES.md.
+CHUNK = 32
+
+
+def _chunks(n: int) -> Iterator[range]:
+    for start in range(0, n, CHUNK):
+        yield range(start, min(start + CHUNK, n))
+
+
 class PrefixCache:
     """Each image's forward_prefix, shared by every evaluate call of one
-    sweep. Keyed by image index and first sampling stage, and bound to the
-    architecture, the weight values and the sample list it is filled from,
-    since a prefix holds their results. 13,328 bytes per image at the
-    default architecture (float32 tokens, attention and values)."""
+    sweep and filled one chunk of images at a time. Keyed by image index and
+    first sampling stage, and bound to the architecture, the weight values
+    and the sample list it is filled from, since a prefix holds their
+    results. 13,328 bytes per image at the default architecture (float32
+    tokens, attention and values)."""
 
     def __init__(self, cfg: ModelConfig, weights: dict[str, Node],
                  samples: list[ShapeSample]):
@@ -148,12 +160,14 @@ class PrefixCache:
                 a is not b for a, b in zip(samples, self.samples)):
             raise ValueError("prefix cache was filled from other samples")
 
-    def get(self, cfg: ModelConfig, i: int) -> Prefix:
-        key = (i, first_stage(cfg))
-        if key not in self.prefixes:
-            self.prefixes[key] = forward_prefix(self.samples[i].image, cfg,
-                                                self.weights)
-        return self.prefixes[key]
+    def get(self, cfg: ModelConfig, chunk: range) -> list[Prefix]:
+        stage = first_stage(cfg)
+        if any((i, stage) not in self.prefixes for i in chunk):
+            images = [self.samples[i].image for i in chunk]
+            self.prefixes.update(
+                ((i, stage), p) for i, p in
+                zip(chunk, forward_prefix(images, cfg, self.weights)))
+        return [self.prefixes[(i, stage)] for i in chunk]
 
 
 def eval_rng(seed: int, i: int) -> Rng:
@@ -171,20 +185,26 @@ def evaluate(cfg: ModelConfig, weights: dict[str, Node],
              samples: list[ShapeSample], seed: int = 0,
              prefixes: PrefixCache | None = None) -> EvalResult:
     """Forward every sample in input order under no_grad and aggregate
-    accuracy, cost, and token counts. Image i samples with eval_rng(seed, i),
-    so reruns are bit-identical. With prefixes, each image's
-    sampling-independent prefix is computed once per cache and reused by
-    every later call with the same first sampling stage."""
+    accuracy, cost, and token counts. Each chunk of CHUNK images runs its
+    sampling-independent prefix as one stacked pass; then each image runs
+    the rest of its forward alone, sampling with eval_rng(seed, i), so
+    reruns are bit-identical. With prefixes, each image's prefix is computed
+    once per cache and reused by every later call with the same first
+    sampling stage."""
     _require_samples(samples, "evaluate")
     if prefixes is not None:
         prefixes.check(cfg, weights, samples)
     tally = _Tally(cfg)
     with ag.no_grad():
-        for i, s in enumerate(samples):
-            prefix = None if prefixes is None else prefixes.get(cfg, i)
-            t = forward(s.image, cfg, weights, rng=eval_rng(seed, i),
-                        prefix=prefix)
-            tally.add(t, s.label, ag.cross_entropy(t.logits_node, s.label))
+        for chunk in _chunks(len(samples)):
+            batch = (forward_prefix([samples[i].image for i in chunk], cfg,
+                                    weights)
+                     if prefixes is None else prefixes.get(cfg, chunk))
+            for i, prefix in zip(chunk, batch):
+                s = samples[i]
+                t = forward(s.image, cfg, weights, rng=eval_rng(seed, i),
+                            prefix=prefix)
+                tally.add(t, s.label, ag.cross_entropy(t.logits_node, s.label))
     return tally.result()
 
 

@@ -286,16 +286,15 @@ def test_criterion_08_flops_accounting(baseline, toy_data):
 def test_criterion_09_cli_determinism(tmp_path):
     arch = tmp_path / "arch.json"
     arch.write_text(json.dumps({"dim": 16, "heads": 2, "depth": 3, "mlp_ratio": 2}))
-    flags = ["--config", str(arch), "--n-train", "16", "--n-val", "8",
-             "--data-seed", "5"]
+    flags = ["--n-train", "16", "--n-val", "8", "--data-seed", "5"]
     blobs = {}
     for tag in ("x", "y"):
         model = tmp_path / f"m{tag}.atsw"
         evalj = tmp_path / f"e{tag}.json"
         sweep = tmp_path / f"s{tag}.csv"
         assert cli_main(["train", "--seed", "3", "--out", str(model),
-                         "--epochs", "2", "--batch-size", "8", "--quiet"]
-                        + flags) == 0
+                         "--epochs", "2", "--batch-size", "8", "--quiet",
+                         "--config", str(arch)] + flags) == 0
         assert cli_main(["eval", "--weights", str(model), "--out", str(evalj),
                          "--ats-stages", "1,2", "--k", "8", "--quiet"]
                         + flags) == 0

@@ -16,7 +16,7 @@ from atsvit.dataset import DatasetManifest, generate, load_pgm
 from atsvit.flops import static_macs
 from atsvit.model import ModelConfig, as_nodes, forward, load_weights, save_weights
 from atsvit.numerics import FAST_DTYPE, Rng
-from atsvit.trainer import EvalResult
+from atsvit.trainer import CHUNK, EvalResult
 
 
 def read_csv_rows(path: str) -> list[dict]:
@@ -408,6 +408,20 @@ class TestSweep:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("finetune", ["--out", "ft.atsw"]), ("eval", ["--out", "e.json"]),
+    ("sweep", ["--out", "s.csv"]), ("masks", ["--out-dir", "masks"])])
+def test_config_on_weight_loading_command_is_a_usage_error(
+        trained, tiny_config, tmp_path, monkeypatch, command, extra):
+    # These commands take the architecture from the weight file.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--weights", trained, "--config", tiny_config]
+             + extra + DATA)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 class TestMasks:
     def test_no_sampling_all_white(self, trained, tmp_path):
         out = tmp_path / "masks_plain"
@@ -527,7 +541,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     """eval and sweep on the stored baseline weights write the same bytes
-    whether BLAS runs one thread or two."""
+    whether BLAS runs one thread or two, over one full chunk of stacked
+    prefixes and one partial one."""
     commands = {
         "eval.json": ["eval", "--ats-stages", "2,3,4,5", "--k", "8"],
         "sweep.csv": ["sweep", "--budgets", "2,8", "--scorings", "cls-vnorm,rowsum"],
@@ -543,7 +558,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
             subprocess.run(
                 [sys.executable, "-m", "atsvit", *argv, "--out", str(out),
                  "--weights", str(REPO / "perfbench" / "weights" / "baseline.atsw"),
-                 "--n-val", "16", "--quiet"],
+                 "--n-val", str(CHUNK + 3), "--quiet"],
                 env=env, check=True, timeout=300)
             outputs[name].append(out.read_bytes())
     for name, (one, two) in outputs.items():

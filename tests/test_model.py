@@ -73,7 +73,7 @@ class TestPatchEmbed:
     def test_token_count_arithmetic(self):
         cfg = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2)
         w, _ = np_weights(cfg)
-        out = patch_embed(Rng(0).uniform((32, 32, 1)), w, cfg)
+        out = patch_embed([Rng(0).uniform((32, 32, 1))], w, cfg)
         assert cfg.num_patches == 16
         assert out.shape == (17, 16)
 
@@ -81,7 +81,7 @@ class TestPatchEmbed:
         cfg = TINY
         w, wv = np_weights(cfg)
         w["pos"] = ag.leaf(np.zeros_like(wv["pos"]))
-        out = patch_embed(np.zeros((16, 16, 1)), w, cfg)
+        out = patch_embed([np.zeros((16, 16, 1))], w, cfg)
         for row in out.value[1:]:
             assert np.allclose(row, wv["patch.b"])
 
@@ -89,7 +89,7 @@ class TestPatchEmbed:
         cfg = TINY
         w, wv = np_weights(cfg, seed=4)
         img = Rng(9).uniform((16, 16, 1))
-        out = patch_embed(img, w, cfg)
+        out = patch_embed([img], w, cfg)
         g, p = cfg.grid_size, cfg.patch_size
         ref = np.stack([
             img[py * p:(py + 1) * p, px * p:(px + 1) * p, :].reshape(-1)
@@ -101,7 +101,7 @@ class TestPatchEmbed:
     def test_wrong_size_rejected(self):
         w, _ = np_weights(TINY)
         with pytest.raises(ValueError, match="shape"):
-            patch_embed(np.zeros((8, 8, 1)), w, TINY)
+            patch_embed([np.zeros((8, 8, 1))], w, TINY)
 
     def test_patch_order_is_raster(self):
         cfg = TINY

@@ -3,13 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from atsvit import autograd as ag
+from atsvit import trainer
 from atsvit.dataset import DatasetManifest, generate
-from atsvit.model import ModelConfig, forward, forward_prefix, init_weights
+from atsvit.flops import model_macs
+from atsvit.model import (ModelConfig, as_nodes, forward, forward_prefix,
+                          init_weights, load_weights)
 from atsvit.numerics import Rng
 from atsvit.sampling import Policy, Scoring
-from atsvit.trainer import (OptimState, PrefixCache, Schedule, evaluate, lr_at,
-                            optim_step, train)
+from atsvit.trainer import (CHUNK, OptimState, PrefixCache, Schedule, eval_rng,
+                            evaluate, lr_at, optim_step, train)
 
 TINY = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2, depth=2,
                    mlp_ratio=2, num_classes=4)
@@ -234,6 +239,77 @@ class TestEvaluate:
                 assert np.array_equal(small.kprime[stage], large.kprime[stage][:7])
 
 
+def assert_same_result(a, b):
+    assert a.top1 == b.top1 and a.mean_loss == b.mean_loss
+    assert np.array_equal(a.macs, b.macs)
+    assert a.kprime.keys() == b.kprime.keys()
+    for stage in a.kprime:
+        assert np.array_equal(a.kprime[stage], b.kprime[stage])
+
+
+class TestChunkedEvaluate:
+    """evaluate runs each chunk's prefix as one stacked pass; every image
+    must come out exactly as its standalone forward does."""
+    STORED = (Path(__file__).resolve().parent.parent / "perfbench" / "weights"
+              / "baseline.atsw")
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        cfg, tensors = load_weights(str(self.STORED))
+        _, val_set = generate(DatasetManifest(seed=4, n_train=1, n_val=CHUNK + 1),
+                              train=False)
+        return cfg, as_nodes(tensors), val_set
+
+    @staticmethod
+    def configs(cfg):
+        """Unsampled, inverse cls-vnorm at k = 16 and 1, and the random
+        policy, which draws from the Rng."""
+        yield cfg
+        for k in (16, 1):
+            yield cfg.with_sampling((2, 3, 4, 5), k=k)
+        yield cfg.with_sampling((2, 3, 4, 5), k=8, policy=Policy.RANDOM)
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1])
+    def test_matches_standalone_forward(self, stored, monkeypatch, n):
+        base, w, val_set = stored
+        samples = val_set[:n]
+        traces = []
+        monkeypatch.setattr(trainer, "forward", lambda *a, **kw:
+                            traces.append(forward(*a, **kw)) or traces[-1])
+        for cfg in self.configs(base):
+            traces.clear()
+            ev = evaluate(cfg, w, samples, seed=3)
+            with ag.no_grad():
+                alone = [forward(s.image, cfg, w, rng=eval_rng(3, i))
+                         for i, s in enumerate(samples)]
+            losses = [float(ag.cross_entropy(t.logits_node, s.label).value)
+                      for t, s in zip(alone, samples)]
+            assert ([t.logits.tobytes() for t in traces]
+                    == [t.logits.tobytes() for t in alone]), cfg.runtime_dict()
+            assert [t.samples for t in traces] == [t.samples for t in alone]
+            assert ev.mean_loss == float(np.mean(losses))
+            assert ev.top1 == np.mean([int(np.argmax(t.logits)) == s.label
+                                       for t, s in zip(alone, samples)])
+            assert list(ev.macs) == [model_macs(t, cfg).total_macs for t in alone]
+            for stage in cfg.ats_stages:
+                assert list(ev.kprime[stage]) == [t.samples[stage].k_prime
+                                                  for t in alone]
+
+    def test_cache_over_two_chunks_matches_uncached(self, stored):
+        base, w, val_set = stored
+        cache = PrefixCache(base, w, val_set)
+        for cfg in self.configs(base):
+            assert_same_result(evaluate(cfg, w, val_set, seed=5, prefixes=cache),
+                               evaluate(cfg, w, val_set, seed=5))
+        assert sorted(cache.prefixes) == [(i, s) for i in range(CHUNK + 1)
+                                          for s in (2, base.depth)]
+
+    def test_stacked_prefix_is_refused_while_recording(self, stored):
+        cfg, w, val_set = stored
+        with pytest.raises(ValueError, match="no_grad"):
+            forward_prefix([val_set[0].image, val_set[1].image], cfg, w)
+
+
 class TestPrefixCache:
     """Sweeps share each image's prefix (everything before the first sampling
     stage, plus that stage's attention) across configs."""
@@ -273,7 +349,7 @@ class TestPrefixCache:
         with ag.no_grad():
             for cfg in self.configs():
                 image = samples[0].image
-                prefix = forward_prefix(image, cfg, w)
+                prefix, = forward_prefix([image], cfg, w)
                 a = forward(image, cfg, w, rng=Rng(5, stream=1000), prefix=prefix)
                 b = forward(image, cfg, w, rng=Rng(5, stream=1000))
                 assert a.logits.tobytes() == b.logits.tobytes(), cfg.runtime_dict()
@@ -281,7 +357,7 @@ class TestPrefixCache:
 
     def test_prefix_of_another_first_stage_is_refused(self, setup):
         w, samples = setup
-        prefix = forward_prefix(samples[0].image, self.SIX.with_sampling((2,)), w)
+        prefix, = forward_prefix([samples[0].image], self.SIX.with_sampling((2,)), w)
         with pytest.raises(ValueError, match="first sampling stage"):
             forward(samples[0].image, self.SIX.with_sampling((1, 3)), w,
                     prefix=prefix)
