@@ -12,7 +12,8 @@ Several images of T tokens each can run as one pass: their tokens are the
 (images*T, d) rows, image b owning rows [b*T, (b+1)*T), and their heads are
 the (images*heads, T, head_dim) stacks, image b owning matrices
 [b*heads, (b+1)*heads). Every product is then the same per-matrix or
-per-row product a single image gets.
+per-row product a single image gets, and the gradients of the shared
+weights come back one image at a time (see autograd).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def project_qkv(tokens: Node, qkv_w: Node, qkv_b: Node, heads: int,
     d = tokens.shape[-1]
     if qkv_w.shape != (d, 3 * d):
         raise ValueError(f"qkv weight shape {qkv_w.shape}, expected {(d, 3 * d)}")
-    fused = ag.add_row(ag.matmul(tokens, qkv_w), qkv_b)
+    fused = ag.add_row(ag.matmul(tokens, qkv_w, images), qkv_b, images)
     q, k, v = (ag.split_cols(ag.slice_cols(fused, i * d, (i + 1) * d), heads,
                              images)
                for i in range(3))
@@ -59,4 +60,5 @@ def attend(state: AttentionState, out_w: Node, out_b: Node,
            images: int = 1) -> Node:
     """Attention-weighted value mix of every head, concatenated and projected."""
     mixed = ag.matmul(state.attn, state.v)
-    return ag.add_row(ag.matmul(ag.concat_cols(mixed, images), out_w), out_b)
+    return ag.add_row(ag.matmul(ag.concat_cols(mixed, images), out_w, images),
+                      out_b, images)

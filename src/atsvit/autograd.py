@@ -5,9 +5,19 @@ parents, and takes a unique creation index from one process-wide counter. A
 parent always exists before its child, so reverse creation order is a
 reverse topological order: backward() pops nodes from a heap keyed on that
 index and never sorts the graph. Only leaves (nodes without parents) keep a
-gradient: they allocate .grad lazily as zeros and accumulate with +=, so a
-fresh pass requires explicit zeroing (zero_grads). Intermediate gradients
-live only for the duration of one backward() call.
+gradient: they allocate .grad lazily as zeros and add each contribution with
++= as it arrives, so a fresh pass requires explicit zeroing (zero_grads).
+Intermediate gradients live only for the duration of one backward() call.
+
+Several images can share one pass: their rows are stacked, image b owning
+the b-th block of rows, and the ops that mix rows with a shared weight
+(matmul, add_row, layer_norm) take the image count. Their weight gradient is
+then a stack of one contribution per image, and a leaf adds a stack one image
+at a time, in image order, so its float sums run as if each image had had
+its own pass. tile_rows gives each image its own copy of a leaf's rows in the
+same way. backward() also takes several seeded roots, so a walk can go on
+from the nodes of a stacked pass once every image's own graph has been
+walked back to views of them.
 
 Each op that computes values checks them for NaN and Inf, so an overflow
 names the op that made it. The copy ops (transpose, gather_rows, slice_cols,
@@ -71,11 +81,6 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
-def recording() -> bool:
-    """Whether ops record their vjps now: False inside no_grad."""
-    return _recording
-
-
 def leaf(value) -> Node:
     """Wrap an array as a graph leaf. Leaves accumulate but never propagate."""
     arr = np.asarray(value)
@@ -97,11 +102,23 @@ def add(a: Node, b: Node) -> Node:
                  _recording and ((a, lambda g: g), (b, lambda g: g)))
 
 
-def add_row(a: Node, row: Node) -> Node:
+def _per_image(x: np.ndarray, images: int) -> np.ndarray:
+    """(images*m, n) -> (images, m, n), a view."""
+    return x.reshape(images, -1, x.shape[-1])
+
+
+def _row_sum(g: np.ndarray, images: int) -> np.ndarray:
+    """The sum of g's rows, or with images > 1 the stack of each image's."""
+    if images == 1:
+        return np.add.reduce(g, axis=0)
+    return np.add.reduce(_per_image(g, images), axis=1)
+
+
+def add_row(a: Node, row: Node, images: int = 1) -> Node:
     """Broadcast-add a length-n row vector to every row of an (m, n) matrix."""
     return _make("add_row", a.value + row.value,
                  _recording and ((a, lambda g: g),
-                                 (row, lambda g: np.add.reduce(g, axis=0))))
+                                 (row, lambda g: _row_sum(g, images))))
 
 
 def scale(a: Node, c: float) -> Node:
@@ -109,12 +126,23 @@ def scale(a: Node, c: float) -> Node:
                  _recording and ((a, lambda g: g * c),))
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product; stacked operands multiply matrix by matrix."""
+def matmul(a: Node, b: Node, images: int = 1) -> Node:
+    """Matrix product; stacked operands multiply matrix by matrix.
+
+    With images > 1, a holds the rows of that many images and b is a matrix
+    they share. The product stays one call, but both gradients are taken
+    image by image, as a 3-D product: b gets the stack of each image's
+    a_b^T g_b, and a gets each g_b b^T, the bytes one image's pass gives (a
+    single product over every image's rows can round differently)."""
     v = numerics.matmul(a.value, b.value)
-    return _make("matmul", v,
-                 _recording and ((a, lambda g: g @ b.value.swapaxes(-1, -2)),
-                                 (b, lambda g: a.value.swapaxes(-1, -2) @ g)))
+    if images == 1:
+        return _make("matmul", v, _recording and (
+            (a, lambda g: g @ b.value.swapaxes(-1, -2)),
+            (b, lambda g: a.value.swapaxes(-1, -2) @ g)))
+    return _make("matmul", v, _recording and (
+        (a, lambda g: (_per_image(g, images) @ b.value.T).reshape(a.value.shape)),
+        (b, lambda g: _per_image(a.value, images).swapaxes(1, 2)
+            @ _per_image(g, images))))
 
 
 def transpose(a: Node) -> Node:
@@ -141,7 +169,8 @@ def _layer_norm_vjp(g, xhat, inv_std, gv):
     return (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat)) * inv_std
 
 
-def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
+def layer_norm(x: Node, gamma: Node, beta: Node, images: int = 1,
+               eps: float = 1e-5) -> Node:
     xv = x.value
     centered = xv - _row_mean(xv)
     inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
@@ -149,8 +178,8 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
     out = xhat * gamma.value + beta.value
     return _make("layer_norm", out, _recording and (
         (x, lambda g, gv=gamma.value: _layer_norm_vjp(g, xhat, inv_std, gv)),
-        (gamma, lambda g: np.add.reduce(g * xhat, axis=0)),
-        (beta, lambda g: np.add.reduce(g, axis=0)),
+        (gamma, lambda g: _row_sum(g * xhat, images)),
+        (beta, lambda g: _row_sum(g, images)),
     ))
 
 
@@ -222,15 +251,28 @@ def concat_cols(a: Node, images: int = 1) -> Node:
         (a, lambda g: _stack(g, n, images)),))
 
 
-def _row_blocks(nodes: Sequence[Node]) -> tuple:
-    offsets = np.cumsum([0] + [n.value.shape[0] for n in nodes])
-    return tuple((n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e]))
+def tile_rows(a: Node, images: int) -> Node:
+    """(m, n) -> (images*m, n): a copy of a's rows for each image. Its
+    gradient is the stack of the images' blocks, so a leaf adds each image's
+    block on its own."""
+    return Node(np.tile(a.value, (images, 1)), _recording and (
+        (a, lambda g, shape=a.value.shape: g.reshape(images, *shape)),))
+
+
+def _row_blocks(nodes: Sequence[Node], images: int) -> tuple:
+    offsets = np.cumsum([0] + [n.value.shape[0] // images for n in nodes])
+    return tuple((n, (lambda g, s=offsets[i], e=offsets[i + 1]:
+                      _per_image(g, images)[:, s:e].reshape(-1, g.shape[-1])))
                  for i, n in enumerate(nodes))
 
 
-def concat_rows(nodes: Sequence[Node]) -> Node:
-    return Node(np.concatenate([n.value for n in nodes], axis=0),
-                _recording and _row_blocks(nodes))
+def concat_rows(nodes: Sequence[Node], images: int = 1) -> Node:
+    """Join the rows of (m_i, n) matrices. With images > 1 each holds a
+    block of rows per image, and image b's rows are its blocks in node
+    order."""
+    blocks = [_per_image(n.value, images) for n in nodes]
+    return Node(np.concatenate(blocks, axis=1).reshape(-1, blocks[0].shape[-1]),
+                _recording and _row_blocks(nodes, images))
 
 
 def _cross_entropy_vjp(g, shifted, lse, label, shape):
@@ -250,29 +292,50 @@ def cross_entropy(logits: Node, label: int) -> Node:
             _cross_entropy_vjp(g, shifted, lse, label, shape)),))
 
 
-def backward(loss: Node) -> None:
+def _accumulate(node: Node, g: np.ndarray) -> None:
+    """Add one contribution to a leaf's .grad; a per-image stack (one more
+    axis than the leaf) is added one image at a time, in image order."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    if g.ndim > node.value.ndim:
+        for image in g:
+            node.grad += image
+    else:
+        node.grad += g
+
+
+def backward(roots: Node | dict[Node, np.ndarray]) -> None:
     """Accumulate d(loss)/d(leaf) into the .grad of every leaf under loss.
 
-    The loss must be scalar. Nodes are visited in reverse creation order, so
-    each one has every contribution from its consumers before it passes its
-    gradient on. Gradients add into any existing leaf buffers, so repeated
-    calls accumulate; call zero_grads for a fresh pass.
+    roots is a scalar loss node, seeded with 1, or a {node: gradient} map
+    that seeds several nodes at once. Nodes are visited in reverse creation
+    order, so each one has every contribution from its consumers before it
+    passes its gradient on. A leaf adds each contribution to its .grad as it
+    arrives. Gradients add into any existing leaf buffers, so repeated calls
+    accumulate; call zero_grads for a fresh pass.
     """
-    if loss.value.shape != ():
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
-    pending = {loss: np.ones((), dtype=loss.value.dtype)}
-    heap = [(-loss.seq, loss)]
+    if isinstance(roots, Node):
+        if roots.value.shape != ():
+            raise ValueError(
+                f"backward requires a scalar loss, got shape {roots.value.shape}")
+        roots = {roots: np.ones((), dtype=roots.value.dtype)}
+    pending: dict[Node, np.ndarray] = {}
+    heap: list[tuple[int, Node]] = []
+    for root, g in roots.items():
+        if root.parents:
+            pending[root] = g
+            heap.append((-root.seq, root))
+        else:
+            _accumulate(root, g)
+    heapq.heapify(heap)
     while heap:
         node = heapq.heappop(heap)[1]
         g = pending.pop(node)
-        if not node.parents:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.value)
-            node.grad += g
-            continue
         for parent, vjp in node.parents:
             contrib = vjp(g)
-            if parent in pending:
+            if not parent.parents:
+                _accumulate(parent, contrib)
+            elif parent in pending:
                 # Not +=: a vjp may hand back the very array it was given.
                 pending[parent] = pending[parent] + contrib
             else:

@@ -180,20 +180,19 @@ def patch_embed(images: Sequence[np.ndarray], weights: dict[str, Node],
                 cfg: ModelConfig) -> Node:
     """Linear projection of flattened patches, CLS prepended at row 0,
     learned positional embeddings added. The images' tokens are stacked as
-    rows: image b owns rows [b*T, (b+1)*T)."""
+    rows: image b owns rows [b*T, (b+1)*T). Each image gets its own copy of
+    the CLS and positional rows, so their leaves take one gradient per
+    image."""
+    n = len(images)
     dtype = weights["patch.w"].value.dtype
     patches = ag.leaf(np.concatenate([extract_patches(im, cfg)
                                       for im in images]).astype(dtype))
-    projected = ag.add_row(ag.matmul(patches, weights["patch.w"]), weights["patch.b"])
-    tokens, pos = ag.concat_rows([weights["cls"], projected]), weights["pos"]
-    if len(images) > 1:
-        # The one CLS row leads; give each image its own, then its patches.
-        n, t = cfg.num_patches, cfg.num_tokens
-        tokens = ag.gather_rows(tokens, [0 if j == 0 else b * n + j
-                                         for b in range(len(images))
-                                         for j in range(t)])
-        pos = ag.gather_rows(pos, list(range(t)) * len(images))
-    return ag.add(tokens, pos)
+    projected = ag.add_row(ag.matmul(patches, weights["patch.w"], n),
+                           weights["patch.b"], n)
+    cls, pos = weights["cls"], weights["pos"]
+    if n > 1:
+        cls, pos = ag.tile_rows(cls, n), ag.tile_rows(pos, n)
+    return ag.add(ag.concat_rows([cls, projected], n), pos)
 
 
 @dataclass
@@ -202,10 +201,19 @@ class Prefix:
     block `stage` (the first sampling stage, or depth without one) and, at a
     sampling stage, that block's attention state. Nothing in it depends on
     k, policy, scoring or the Rng, so every sampled config with the same
-    first stage can branch from it."""
+    first stage can branch from it.
+
+    An image of a stacked pass gets leaves over views of the pass's values,
+    and `stacked` holds the pass's own prefix; backward_prefix carries the
+    gradients the views receive on into it."""
     stage: int
     tokens: Node
     state: AttentionState | None
+    stacked: Prefix | None = field(default=None, repr=False)
+
+    def nodes(self) -> list[Node]:
+        return [self.tokens] + ([] if self.state is None
+                                else [self.state.attn, self.state.v])
 
 
 def first_stage(cfg: ModelConfig) -> int:
@@ -214,18 +222,21 @@ def first_stage(cfg: ModelConfig) -> int:
 
 def _attention_state(tokens: Node, weights: dict[str, Node], p: str,
                      heads: int, images: int = 1) -> AttentionState:
-    normed = ag.layer_norm(tokens, weights[p + "ln1.g"], weights[p + "ln1.b"])
+    normed = ag.layer_norm(tokens, weights[p + "ln1.g"], weights[p + "ln1.b"],
+                           images)
     q, k, v = project_qkv(normed, weights[p + "qkv.w"], weights[p + "qkv.b"],
                           heads, images)
     return AttentionState(attention_matrix(q, k), v)
 
 
-def _mlp_residual(tokens: Node, weights: dict[str, Node], p: str) -> Node:
-    normed = ag.layer_norm(tokens, weights[p + "ln2.g"], weights[p + "ln2.b"])
-    hidden = ag.gelu(ag.add_row(ag.matmul(normed, weights[p + "mlp1.w"]),
-                                weights[p + "mlp1.b"]))
-    mlp_out = ag.add_row(ag.matmul(hidden, weights[p + "mlp2.w"]),
-                         weights[p + "mlp2.b"])
+def _mlp_residual(tokens: Node, weights: dict[str, Node], p: str,
+                  images: int = 1) -> Node:
+    normed = ag.layer_norm(tokens, weights[p + "ln2.g"], weights[p + "ln2.b"],
+                           images)
+    hidden = ag.gelu(ag.add_row(ag.matmul(normed, weights[p + "mlp1.w"], images),
+                                weights[p + "mlp1.b"], images))
+    mlp_out = ag.add_row(ag.matmul(hidden, weights[p + "mlp2.w"], images),
+                         weights[p + "mlp2.b"], images)
     return ag.add(tokens, mlp_out)
 
 
@@ -235,12 +246,11 @@ def forward_prefix(images: Sequence[np.ndarray], cfg: ModelConfig,
     stage's LN1, QKV projection and attention matrix, for all images in one
     stacked pass. Draws no random words.
 
-    One image gets the pass's own nodes. Several get nodes over views of the
-    stacked values, which carry no gradient, so they are built only under
-    no_grad."""
+    One image gets the pass's own nodes, so its backward walks the whole
+    pass. Several get leaves over views of the stacked values; recorded,
+    their gradients reach the weights through backward_prefix, once every
+    image's own backward has run."""
     n = len(images)
-    if n > 1 and ag.recording():
-        raise ValueError("a prefix of several images is built only under no_grad")
     stage = first_stage(cfg)
     tokens = patch_embed(images, weights, cfg)
     for i in range(stage):
@@ -248,11 +258,12 @@ def forward_prefix(images: Sequence[np.ndarray], cfg: ModelConfig,
         state = _attention_state(tokens, weights, p, cfg.heads, n)
         tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
                                        weights[p + "out.b"], n))
-        tokens = _mlp_residual(tokens, weights, p)
+        tokens = _mlp_residual(tokens, weights, p, n)
     state = (_attention_state(tokens, weights, f"block{stage}.", cfg.heads, n)
              if stage < cfg.depth else None)
+    whole = Prefix(stage=stage, tokens=tokens, state=state)
     if n == 1:
-        return [Prefix(stage=stage, tokens=tokens, state=state)]
+        return [whole]
 
     def per_image(node: Node) -> list[Node]:
         size = node.shape[0] // n
@@ -261,8 +272,22 @@ def forward_prefix(images: Sequence[np.ndarray], cfg: ModelConfig,
     states = ([None] * n if state is None else
               [AttentionState(a, v) for a, v in zip(per_image(state.attn),
                                                     per_image(state.v))])
-    return [Prefix(stage=stage, tokens=x, state=s)
+    return [Prefix(stage=stage, tokens=x, state=s, stacked=whole)
             for x, s in zip(per_image(tokens), states)]
+
+
+def backward_prefix(prefixes: Sequence[Prefix]) -> None:
+    """Finish the backward walk of one recorded forward_prefix call, after
+    each image's own backward has reached its prefix: one walk from the
+    stacked tokens, attention and value nodes, each seeded with what its
+    per-image views received, in image order. A prefix of one image is its
+    pass's own nodes, which the image's backward has walked already."""
+    whole = prefixes[0].stacked
+    if whole is None:
+        return
+    views = zip(*(p.nodes() for p in prefixes))
+    ag.backward({root: np.concatenate([v.grad for v in per_image])
+                 for root, per_image in zip(whole.nodes(), views)})
 
 
 def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],

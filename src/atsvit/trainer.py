@@ -19,8 +19,8 @@ from . import autograd as ag
 from .autograd import Node
 from .dataset import ShapeSample
 from .flops import model_macs
-from .model import (ForwardTrace, ModelConfig, Prefix, first_stage, forward,
-                    forward_prefix)
+from .model import (ForwardTrace, ModelConfig, Prefix, backward_prefix,
+                    first_stage, forward, forward_prefix)
 from .numerics import NonFiniteError, Rng
 
 
@@ -126,6 +126,10 @@ class _Tally:
 # Images per stacked forward_prefix pass in evaluate. Measured over 8, 16,
 # 32 and 64 on the eval-adaptive passes; see CHANGES.md.
 CHUNK = 32
+# Images per recorded stacked forward_prefix pass in train. A recorded pass
+# keeps its whole graph until its backward walk; measured over 2, 4 and 8 on
+# train-baseline (rate and peak memory); see CHANGES.md.
+TRAIN_CHUNK = 4
 
 
 def _chunks(n: int) -> Iterator[range]:
@@ -216,6 +220,26 @@ def _metric_row(epoch: int, split: str, loss: float, ev: EvalResult) -> dict:
             "mean_macs": f"{ev.mean_macs:.1f}"}
 
 
+def _train_chunk(cfg: ModelConfig, weights: dict[str, Node],
+                 train_set: list[ShapeSample], ids: list[int], seed: int,
+                 scale: float, tally: _Tally) -> None:
+    """Add one chunk of a batch's gradients to the weights: the chunk's
+    prefix as one recorded stacked pass, then each image's tail, loss and
+    backward in image order, then one walk back through the prefix. Every
+    weight gets its per-image contributions in image order, as if each image
+    had had its own pass. The chunk's graph dies when this returns."""
+    samples = [train_set[j] for j in ids]
+    prefixes = forward_prefix([s.image for s in samples], cfg, weights)
+    for j, sample, prefix in zip(ids, samples, prefixes):
+        trace = forward(sample.image, cfg, weights, rng=Rng(seed, stream=3000 + j),
+                        prefix=prefix)
+        loss = ag.scale(ag.cross_entropy(trace.logits_node, sample.label), scale)
+        ag.backward(loss)
+        tally.add(trace, sample.label, loss)
+        del trace, loss  # this image's graph, before the next one is built
+    backward_prefix(prefixes)
+
+
 def train(cfg: ModelConfig, weights: dict[str, Node],
           train_set: list[ShapeSample], val_set: list[ShapeSample],
           epochs: int = 30, batch_size: int = 64, base_lr: float = 5e-4,
@@ -224,7 +248,9 @@ def train(cfg: ModelConfig, weights: dict[str, Node],
     """Cross-entropy training loop; mutates weights in place and returns the
     per-epoch metric rows (train and val). Fine-tuning is this loop with
     sampling stages in cfg: gradients flow through the downsampled attention
-    product, and the selected indices are frozen per forward pass."""
+    product, and the selected indices are frozen per forward pass. Each
+    batch runs in chunks of TRAIN_CHUNK images (see _train_chunk); the
+    gradients keep the bytes of one forward and backward per image."""
     if batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {batch_size}")
     _require_samples(train_set, "train")
@@ -245,19 +271,15 @@ def train(cfg: ModelConfig, weights: dict[str, Node],
         for b in range(steps_per_epoch):
             batch = perm[b * batch_size:(b + 1) * batch_size]
             ag.zero_grads(weights)
-            for j in batch:
-                sample = train_set[int(j)]
+            for start in range(0, batch.size, TRAIN_CHUNK):
+                ids = batch[start:start + TRAIN_CHUNK].tolist()
                 try:
-                    trace = forward(sample.image, cfg, weights,
-                                    rng=Rng(seed, stream=3000 + int(j)))
-                    loss = ag.scale(ag.cross_entropy(trace.logits_node,
-                                                     sample.label), 1.0 / batch.size)
-                    ag.backward(loss)
+                    _train_chunk(cfg, weights, train_set, ids, seed,
+                                 1.0 / batch.size, tally)
                 except NonFiniteError as exc:
                     raise TrainingDiverged(
                         f"diverged at epoch {epoch}, step {step}, "
-                        f"sample {int(j)}: {exc}") from exc
-                tally.add(trace, sample.label, loss)
+                        f"samples {ids}: {exc}") from exc
             optim_step(opt, weights, lr_at(schedule, step))
             step += 1
 

@@ -333,3 +333,81 @@ class TestStackedOps:
                      ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 3, 5)), ((4,), (4,))]:
             with pytest.raises(ValueError, match="mismatch"):
                 numerics.matmul(np.ones(a), np.ones(b))
+
+
+class TestPerImageStacks:
+    """Ops over several images' stacked rows hand a shared leaf one gradient
+    per image, which it adds in image order."""
+
+    def test_leaf_adds_a_stack_one_image_at_a_time(self):
+        # In float32, (a + b) + c = 1 but a + (b + c) = 0.
+        a, b, c = np.float32(1e8), np.float32(-1e8), np.float32(1.0)
+        assert (a + b) + c != a + (b + c)
+        x = ag.leaf(np.array([[a]], dtype=np.float32))
+        x.grad = x.value.copy()
+        tiled = ag.tile_rows(x, 2)
+        ag.backward({tiled: np.array([[b], [c]], dtype=np.float32)})
+        assert x.grad[0, 0] == (a + b) + c == 1.0
+
+    def test_leaf_adds_each_contribution_as_it_arrives(self):
+        a, b, c = np.float32(1e8), np.float32(-1e8), np.float32(1.0)
+        x = ag.leaf(np.array([[0.0]], dtype=np.float32))
+        x.grad = np.array([[a]], dtype=np.float32)
+        # The later node is walked first, so x receives b, then c.
+        y = ag.add(ag.scale(x, float(c)), ag.scale(x, float(b)))
+        ag.backward({y: np.array([[1.0]], dtype=np.float32)})
+        assert x.grad[0, 0] == (a + b) + c == 1.0
+
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 192), (64, 256), (256, 64)])
+    def test_per_image_gradients_equal_per_image_products(self, shape):
+        """The gradients of matmul over several images' rows are, byte for
+        byte, each image's own products: a_b^T g_b for the shared weight,
+        added in image order, and g_b W^T for the rows."""
+        n, m = shape
+        rng = Rng(50)
+        for images in (2, 3, 5, 9):
+            a0 = rng.normal((images * 17, n)).astype(np.float32)
+            w0 = rng.normal(shape, 0.1).astype(np.float32)
+            g = rng.normal((images * 17, m)).astype(np.float32)
+            a, w = ag.leaf(a0), ag.leaf(w0)
+            ag.backward({ag.matmul(a, w, images): g})
+            grad_w = np.zeros_like(w0)
+            for b in range(images):
+                rows = slice(17 * b, 17 * (b + 1))
+                assert (a.grad[rows].tobytes()
+                        == (g[rows] @ w0.swapaxes(-1, -2)).tobytes()), images
+                grad_w += a0[rows].swapaxes(-1, -2) @ g[rows]
+            assert w.grad.tobytes() == grad_w.tobytes(), images
+
+    def test_row_sums_are_taken_per_image(self):
+        rng = Rng(51)
+        x0 = rng.normal((3 * 17, 8)).astype(np.float32)
+        g = rng.normal((3 * 17, 8)).astype(np.float32)
+        gamma = ag.leaf(np.ones(8, dtype=np.float32))
+        beta, row = (ag.leaf(np.zeros(8, dtype=np.float32)) for _ in range(2))
+        x = ag.leaf(x0)
+        ag.backward({ag.layer_norm(x, gamma, beta, 3): g,
+                     ag.add_row(x, row, 3): g})
+        alone = [ag.leaf(np.ones(8, dtype=np.float32))] + [
+            ag.leaf(np.zeros(8, dtype=np.float32)) for _ in range(2)]
+        for b in range(3):
+            rows = slice(17 * b, 17 * (b + 1))
+            xb = ag.leaf(x0[rows])
+            ag.backward({ag.layer_norm(xb, *alone[:2]): g[rows],
+                         ag.add_row(xb, alone[2]): g[rows]})
+        for stacked, single in zip((gamma, beta, row), alone):
+            assert stacked.grad.tobytes() == single.grad.tobytes()
+
+    def test_tile_rows_and_per_image_concat_rows(self):
+        rng = Rng(52)
+        cls, body = rng.normal((1, 3)), rng.normal((2 * 4, 3))
+        tokens = ag.concat_rows([ag.tile_rows(ag.leaf(cls), 2), ag.leaf(body)], 2)
+        assert np.array_equal(tokens.value, np.concatenate(
+            [cls, body[:4], cls, body[4:]]))
+        weight = ag.leaf(rng.normal((10, 3)))
+        assert ag.grad_check(lambda c: sum_all(mul(
+            ag.concat_rows([ag.tile_rows(c, 2), ag.leaf(body)], 2), weight)),
+            cls) <= 1e-6
+        assert ag.grad_check(lambda x: sum_all(mul(
+            ag.concat_rows([ag.tile_rows(ag.leaf(cls), 2), x], 2), weight)),
+            body) <= 1e-6

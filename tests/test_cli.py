@@ -16,7 +16,7 @@ from atsvit.dataset import DatasetManifest, generate, load_pgm
 from atsvit.flops import static_macs
 from atsvit.model import ModelConfig, as_nodes, forward, load_weights, save_weights
 from atsvit.numerics import FAST_DTYPE, Rng
-from atsvit.trainer import CHUNK, EvalResult
+from atsvit.trainer import CHUNK, TRAIN_CHUNK, EvalResult
 
 
 def read_csv_rows(path: str) -> list[dict]:
@@ -540,12 +540,20 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """eval and sweep on the stored baseline weights write the same bytes
-    whether BLAS runs one thread or two, over one full chunk of stacked
-    prefixes and one partial one."""
+    """eval and sweep on the stored baseline weights, and one epoch of
+    train, write the same bytes whether BLAS runs one thread or two, over
+    one full chunk of stacked prefixes and one partial one (of evaluate's
+    chunks, and of train's, whose weight gradients are per-image stacked
+    products)."""
+    stored = ["--weights", str(REPO / "perfbench" / "weights" / "baseline.atsw"),
+              "--n-val", str(CHUNK + 3)]
     commands = {
-        "eval.json": ["eval", "--ats-stages", "2,3,4,5", "--k", "8"],
-        "sweep.csv": ["sweep", "--budgets", "2,8", "--scorings", "cls-vnorm,rowsum"],
+        "eval.json": ["eval", "--ats-stages", "2,3,4,5", "--k", "8", *stored],
+        "sweep.csv": ["sweep", "--budgets", "2,8", "--scorings", "cls-vnorm,rowsum",
+                      *stored],
+        "train.atsw": ["train", "--epochs", "1", "--n-train",
+                       str(2 * TRAIN_CHUNK + 3), "--batch-size",
+                       str(2 * TRAIN_CHUNK), "--n-val", "4"],
     }
     path = os.pathsep.join(filter(None, [str(REPO / "src"),
                                          os.environ.get("PYTHONPATH")]))
@@ -557,8 +565,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
             out = tmp_path / f"threads{threads}_{name}"
             subprocess.run(
                 [sys.executable, "-m", "atsvit", *argv, "--out", str(out),
-                 "--weights", str(REPO / "perfbench" / "weights" / "baseline.atsw"),
-                 "--n-val", str(CHUNK + 3), "--quiet"],
+                 "--quiet"],
                 env=env, check=True, timeout=300)
             outputs[name].append(out.read_bytes())
     for name, (one, two) in outputs.items():

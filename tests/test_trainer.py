@@ -9,12 +9,13 @@ from atsvit import autograd as ag
 from atsvit import trainer
 from atsvit.dataset import DatasetManifest, generate
 from atsvit.flops import model_macs
-from atsvit.model import (ModelConfig, as_nodes, forward, forward_prefix,
-                          init_weights, load_weights)
+from atsvit.model import (ModelConfig, as_nodes, backward_prefix, forward,
+                          forward_prefix, init_weights, load_weights)
 from atsvit.numerics import Rng
 from atsvit.sampling import Policy, Scoring
-from atsvit.trainer import (CHUNK, OptimState, PrefixCache, Schedule, eval_rng,
-                            evaluate, lr_at, optim_step, train)
+from atsvit.trainer import (CHUNK, TRAIN_CHUNK, OptimState, PrefixCache,
+                            Schedule, TrainingDiverged, eval_rng, evaluate,
+                            lr_at, optim_step, train)
 
 TINY = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2, depth=2,
                    mlp_ratio=2, num_classes=4)
@@ -157,6 +158,21 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="epoch 0, step 0"):
             train(TINY, w, train_set, val_set, epochs=1, batch_size=4,
                   base_lr=1e-3, seed=0)
+
+    def test_nan_pixel_inside_a_stacked_chunk_names_the_chunk(self):
+        train_set, val_set = generate(TINY_DATA)
+        assert TRAIN_CHUNK >= 2
+        samples = train_set[:TRAIN_CHUNK]
+        bad = samples[1].image.copy()
+        bad[5, 7] = np.nan
+        samples[1] = replace(samples[1], image=bad)
+        w = init_weights(TINY, Rng(5), dtype=np.float32)
+        order = [int(j) for j in Rng(0, stream=7).permutation(TRAIN_CHUNK)]
+        with pytest.raises(TrainingDiverged) as info:
+            train(TINY, w, samples, val_set, epochs=1, batch_size=TRAIN_CHUNK,
+                  base_lr=1e-3, seed=0)
+        assert str(info.value).startswith(
+            f"diverged at epoch 0, step 0, samples {order}: non-finite values in")
 
     def test_metric_rows_schema(self):
         train_set, val_set = generate(TINY_DATA)
@@ -304,10 +320,70 @@ class TestChunkedEvaluate:
         assert sorted(cache.prefixes) == [(i, s) for i in range(CHUNK + 1)
                                           for s in (2, base.depth)]
 
-    def test_stacked_prefix_is_refused_while_recording(self, stored):
-        cfg, w, val_set = stored
-        with pytest.raises(ValueError, match="no_grad"):
-            forward_prefix([val_set[0].image, val_set[1].image], cfg, w)
+    def test_recorded_stacked_prefix_gives_per_image_grads(self, stored):
+        """Recorded, a stacked prefix and backward_prefix give every leaf the
+        .grad bytes that one forward and backward per image give."""
+        base, _, val_set = stored
+        _, tensors = load_weights(str(self.STORED))
+        samples = val_set[:3]
+        for cfg in self.configs(base):
+            stacked, alone = as_nodes(tensors), as_nodes(tensors)
+            prefixes = forward_prefix([s.image for s in samples], cfg, stacked)
+            for i, (s, prefix) in enumerate(zip(samples, prefixes)):
+                t = forward(s.image, cfg, stacked, rng=eval_rng(3, i), prefix=prefix)
+                ag.backward(ag.cross_entropy(t.logits_node, s.label))
+            backward_prefix(prefixes)
+            for i, s in enumerate(samples):
+                t = forward(s.image, cfg, alone, rng=eval_rng(3, i))
+                ag.backward(ag.cross_entropy(t.logits_node, s.label))
+            for name in tensors:
+                assert (stacked[name].grad.tobytes()
+                        == alone[name].grad.tobytes()), (name, cfg.runtime_dict())
+
+
+class TestChunkedTrain:
+    """train runs each chunk of a batch's prefix as one recorded stacked
+    pass; after a step, every weight's gradient must have the bytes that one
+    forward and backward per image, in batch order, give."""
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        cfg, tensors = load_weights(str(TestChunkedEvaluate.STORED))
+        train_set, val_set = generate(
+            DatasetManifest(seed=4, n_train=2 * TRAIN_CHUNK + 1, n_val=1))
+        return cfg, tensors, train_set, val_set
+
+    @staticmethod
+    def configs(cfg):
+        """Unsampled, inverse cls-vnorm at k = 8 on stages 2-5, a first stage
+        at block 0, top-k rowsum, and the random policy with random-token
+        scoring, which draw from the Rng."""
+        yield cfg
+        yield cfg.with_sampling((2, 3, 4, 5), k=8)
+        yield cfg.with_sampling((0, 2), k=8)
+        yield cfg.with_sampling((1, 3), k=8, policy=Policy.TOPK,
+                                scoring=Scoring.ROWSUM)
+        yield cfg.with_sampling((2, 3, 4, 5), k=8, policy=Policy.RANDOM,
+                                scoring=Scoring.RANDOM_TOKEN)
+
+    @pytest.mark.parametrize("n", [1, TRAIN_CHUNK - 1, TRAIN_CHUNK + 1,
+                                   2 * TRAIN_CHUNK + 1])
+    def test_one_step_grads_match_per_image_passes(self, stored, n):
+        base, tensors, train_set, val_set = stored
+        samples = train_set[:n]
+        for cfg in self.configs(base):
+            chunked, alone = as_nodes(tensors), as_nodes(tensors)
+            # One step at lr 0: the step's gradients stay on the weights.
+            train(cfg, chunked, samples, val_set, epochs=1, batch_size=n,
+                  base_lr=0.0, weight_decay=0.0, seed=3)
+            for j in Rng(3, stream=7).permutation(n):
+                s = samples[int(j)]
+                t = forward(s.image, cfg, alone, rng=Rng(3, stream=3000 + int(j)))
+                ag.backward(ag.scale(ag.cross_entropy(t.logits_node, s.label),
+                                     1.0 / n))
+            for name in tensors:
+                assert (chunked[name].grad.tobytes()
+                        == alone[name].grad.tobytes()), (name, cfg.runtime_dict())
 
 
 class TestPrefixCache:
