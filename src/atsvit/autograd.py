@@ -21,9 +21,9 @@ walked back to views of them.
 
 Each op that computes values checks them for NaN and Inf, so an overflow
 names the op that made it. The copy ops (transpose, gather_rows, slice_cols,
-split_cols, concat_cols, concat_rows) skip the check: a copy of a checked
-array cannot turn non-finite, and a non-finite leaf they pass on is reported
-by the next computing op.
+split_cols, concat_cols, tile_rows, concat_rows) skip the check: a copy of a
+checked array cannot turn non-finite, and a non-finite leaf they pass on is
+reported by the next computing op.
 
 Inside no_grad() nothing is recorded: every op computes its value with the
 same numpy calls and the same check, but builds no vjp closures and returns

@@ -212,6 +212,7 @@ class Prefix:
     stacked: Prefix | None = field(default=None, repr=False)
 
     def nodes(self) -> list[Node]:
+        """The tokens, then at a sampling stage the attention and values."""
         return [self.tokens] + ([] if self.state is None
                                 else [self.state.attn, self.state.v])
 

@@ -146,7 +146,8 @@ def test_non_finite_leaf_through_a_copy_op_trips_the_next_computing_op():
         with np.errstate(invalid="ignore"), mode:
             copies = [ag.transpose(x), ag.gather_rows(x, (1, 0)),
                       ag.slice_cols(x, 0, 2), ag.split_cols(x, 2),
-                      ag.concat_cols(ag.split_cols(x, 2)), ag.concat_rows([x, x])]
+                      ag.concat_cols(ag.split_cols(x, 2)), ag.tile_rows(x, 2),
+                      ag.concat_rows([x, x]), ag.concat_rows([x, x], 2)]
             for copy in copies:
                 with pytest.raises(NonFiniteError, match="in scale$"):
                     ag.scale(copy, 1.0)
@@ -159,7 +160,11 @@ def _every_op(x, w, row):
             ag.transpose(x), ag.softmax_rows(x), ag.layer_norm(x, row, row),
             ag.gelu(x), ag.gather_rows(x, (2, 0)), ag.gather_rows(stack, (2, 0)),
             ag.slice_cols(x, 1, 3), stack, ag.concat_cols(stack),
-            ag.concat_rows([x, x]), ag.cross_entropy(ag.gather_rows(x, (0,)), 1)]
+            ag.concat_rows([x, x]), ag.cross_entropy(ag.gather_rows(x, (0,)), 1),
+            ag.matmul(ag.concat_rows([x, x]), w, 2), ag.tile_rows(x, 3),
+            ag.add_row(ag.concat_rows([x, x]), row, 2),
+            ag.layer_norm(ag.concat_rows([x, x]), row, row, 2),
+            ag.concat_rows([x, x], 3)]
 
 
 class TestNoGrad:

@@ -167,7 +167,7 @@ class TestTrain:
         bad[5, 7] = np.nan
         samples[1] = replace(samples[1], image=bad)
         w = init_weights(TINY, Rng(5), dtype=np.float32)
-        order = [int(j) for j in Rng(0, stream=7).permutation(TRAIN_CHUNK)]
+        order = Rng(0, stream=7).permutation(TRAIN_CHUNK).tolist()
         with pytest.raises(TrainingDiverged) as info:
             train(TINY, w, samples, val_set, epochs=1, batch_size=TRAIN_CHUNK,
                   base_lr=1e-3, seed=0)
@@ -323,8 +323,8 @@ class TestChunkedEvaluate:
     def test_recorded_stacked_prefix_gives_per_image_grads(self, stored):
         """Recorded, a stacked prefix and backward_prefix give every leaf the
         .grad bytes that one forward and backward per image give."""
-        base, _, val_set = stored
-        _, tensors = load_weights(str(self.STORED))
+        base, w, val_set = stored
+        tensors = {name: node.value for name, node in w.items()}
         samples = val_set[:3]
         for cfg in self.configs(base):
             stacked, alone = as_nodes(tensors), as_nodes(tensors)
