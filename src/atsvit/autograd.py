@@ -1,12 +1,17 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-A Node wraps an eagerly computed value plus vector-Jacobian closures for its
-parents, and takes a unique creation index from one process-wide counter. A
-parent always exists before its child, so reverse creation order is a
-reverse topological order: backward() pops nodes from a heap keyed on that
-index and never sorts the graph. Only leaves (nodes without parents) keep a
-gradient: they allocate .grad lazily as zeros and add each contribution with
-+= as it arrives, so a fresh pass requires explicit zeroing (zero_grads).
+A Node is an eagerly computed value plus, once it is in a graph, its Vertex.
+A vertex keeps no value: it holds its parents as (Vertex, vjp) pairs, a
+unique creation index from one process-wide counter and, for a leaf, the
+gradient. A vjp keeps only the arrays its gradient formula reads, as they
+were when the op ran (matmul its operands, softmax_rows its output,
+layer_norm its normalized rows, gelu its derivative), so a value nothing
+reads is freed with its node, during the forward. A parent always exists
+before its child, so reverse creation order is a reverse topological order:
+backward() pops vertices from a heap keyed on that index and never sorts
+the graph. Only leaves (nodes without parents) keep a gradient: they
+allocate .grad lazily as zeros and add each contribution with += as it
+arrives, so a fresh pass requires explicit zeroing (zero_grads).
 Intermediate gradients live only for the duration of one backward() call.
 
 Several images can share one pass: their rows are stacked, image b owning
@@ -27,7 +32,8 @@ reported by the next computing op.
 
 Inside no_grad() nothing is recorded: every op computes its value with the
 same numpy calls and the same check, but builds no vjp closures and returns
-a Node with no parents, so an inference pass keeps no graph alive.
+a Node with no vertex, so an inference pass allocates no graph. A leaf gets
+its vertex only when a recorded op or a gradient first needs it.
 Recording is one process-wide flag, on by default; the tape is not meant to
 be driven from more than one thread at a time.
 """
@@ -48,21 +54,65 @@ from .numerics import assert_finite
 _creation = itertools.count()
 
 
-class Node:
-    __slots__ = ("value", "grad", "parents", "seq")
+class Vertex:
+    """A node's place in the graph: its parents as (Vertex, vjp) pairs, its
+    unique creation index (heap entries never compare vertices) and, for a
+    leaf, the gradient it has accumulated. It holds no value."""
+    __slots__ = ("parents", "seq", "grad")
 
-    def __init__(self, value: np.ndarray, parents: tuple = ()):
-        self.value = value
+    def __init__(self, parents: tuple):
+        self.parents = parents
+        self.seq = next(_creation)
         self.grad: np.ndarray | None = None
-        self.parents = parents or ()  # (Node, vjp) pairs, or False when not recording
-        self.seq = next(_creation)  # unique, so heap entries never compare Nodes
+
+
+class _LeafVertex(Vertex):
+    """A leaf's vertex also knows the shape and dtype of its gradient, so it
+    need not keep the value, which an optimizer step replaces."""
+    __slots__ = ("shape", "dtype")
+
+    def __init__(self, value: np.ndarray):
+        super().__init__(())
+        self.shape, self.dtype = value.shape, value.dtype
+
+
+class Node:
+    """A value, and its vertex once it has one: a recorded op's result gets
+    one at once, a leaf only when an edge or a gradient first needs it."""
+    __slots__ = ("value", "vertex")
+
+    def __init__(self, value: np.ndarray, parents=()):
+        # parents: (Node, vjp) pairs, or False when not recording
+        self.value = value
+        self.vertex = (Vertex(tuple([(p.vertex or _vertex(p), vjp)
+                                     for p, vjp in parents]))
+                       if parents else None)
 
     @property
     def shape(self):
         return self.value.shape
 
+    @property
+    def parents(self) -> tuple:
+        return () if self.vertex is None else self.vertex.parents
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.vertex is None else self.vertex.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        _vertex(self).grad = g
+
     def __repr__(self):
         return f"Node(shape={self.value.shape}, leaf={not self.parents})"
+
+
+def _vertex(node: Node) -> Vertex:
+    """node's vertex, made for a leaf the first time it is needed."""
+    if node.vertex is None:
+        node.vertex = _LeafVertex(node.value)
+    return node.vertex
 
 
 _recording = True
@@ -126,23 +176,31 @@ def scale(a: Node, c: float) -> Node:
                  _recording and ((a, lambda g: g * c),))
 
 
-def matmul(a: Node, b: Node, images: int = 1) -> Node:
-    """Matrix product; stacked operands multiply matrix by matrix.
+def matmul(a: Node | np.ndarray, b: Node, images: int = 1) -> Node:
+    """Matrix product; stacked operands multiply matrix by matrix. a may be
+    a plain array, a constant that gets no gradient.
 
     With images > 1, a holds the rows of that many images and b is a matrix
     they share. The product stays one call, but both gradients are taken
     image by image, as a 3-D product: b gets the stack of each image's
     a_b^T g_b, and a gets each g_b b^T, the bytes one image's pass gives (a
-    single product over every image's rows can round differently)."""
-    v = numerics.matmul(a.value, b.value)
+    single product over every image's rows can round differently).
+
+    The vjps keep the operand arrays of this call, so a leaf whose value is
+    replaced before backward still gets the gradient of the recorded one."""
+    av = a if isinstance(a, np.ndarray) else a.value
+    bv = b.value
+    v = numerics.matmul(av, bv)
+    if not _recording:
+        return _make("matmul", v, ())
     if images == 1:
-        return _make("matmul", v, _recording and (
-            (a, lambda g: g @ b.value.swapaxes(-1, -2)),
-            (b, lambda g: a.value.swapaxes(-1, -2) @ g)))
-    return _make("matmul", v, _recording and (
-        (a, lambda g: (_per_image(g, images) @ b.value.T).reshape(a.value.shape)),
-        (b, lambda g: _per_image(a.value, images).swapaxes(1, 2)
-            @ _per_image(g, images))))
+        edges = ((a, lambda g: g @ bv.swapaxes(-1, -2)),
+                 (b, lambda g: av.swapaxes(-1, -2) @ g))
+    else:
+        edges = ((a, lambda g: (_per_image(g, images) @ bv.T).reshape(av.shape)),
+                 (b, lambda g: _per_image(av, images).swapaxes(1, 2)
+                     @ _per_image(g, images)))
+    return _make("matmul", v, edges[1:] if a is av else edges)
 
 
 def transpose(a: Node) -> Node:
@@ -184,9 +242,12 @@ def layer_norm(x: Node, gamma: Node, beta: Node, images: int = 1,
 
 
 def gelu(x: Node) -> Node:
+    """The vjp keeps only the derivative, computed only while recording."""
     y, cdf = numerics.gelu(x.value)
-    return _make("gelu", y, _recording and (
-        (x, lambda g: g * numerics.gelu_grad(x.value, cdf)),))
+    if not _recording:
+        return _make("gelu", y, ())
+    dy = numerics.gelu_grad(x.value, cdf)
+    return _make("gelu", y, ((x, lambda g: g * dy),))
 
 
 def _scatter_rows(g, idx, shape, dtype):
@@ -292,16 +353,16 @@ def cross_entropy(logits: Node, label: int) -> Node:
             _cross_entropy_vjp(g, shifted, lse, label, shape)),))
 
 
-def _accumulate(node: Node, g: np.ndarray) -> None:
+def _accumulate(leaf: _LeafVertex, g: np.ndarray) -> None:
     """Add one contribution to a leaf's .grad; a per-image stack (one more
     axis than the leaf) is added one image at a time, in image order."""
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    if g.ndim > node.value.ndim:
+    if leaf.grad is None:
+        leaf.grad = np.zeros(leaf.shape, leaf.dtype)
+    if g.ndim > len(leaf.shape):
         for image in g:
-            node.grad += image
+            leaf.grad += image
     else:
-        node.grad += g
+        leaf.grad += g
 
 
 def backward(roots: Node | dict[Node, np.ndarray]) -> None:
@@ -319,19 +380,20 @@ def backward(roots: Node | dict[Node, np.ndarray]) -> None:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {roots.value.shape}")
         roots = {roots: np.ones((), dtype=roots.value.dtype)}
-    pending: dict[Node, np.ndarray] = {}
-    heap: list[tuple[int, Node]] = []
+    pending: dict[Vertex, np.ndarray] = {}
+    heap: list[tuple[int, Vertex]] = []
     for root, g in roots.items():
-        if root.parents:
-            pending[root] = g
-            heap.append((-root.seq, root))
+        vertex = _vertex(root)
+        if vertex.parents:
+            pending[vertex] = g
+            heap.append((-vertex.seq, vertex))
         else:
-            _accumulate(root, g)
+            _accumulate(vertex, g)
     heapq.heapify(heap)
     while heap:
-        node = heapq.heappop(heap)[1]
-        g = pending.pop(node)
-        for parent, vjp in node.parents:
+        vertex = heapq.heappop(heap)[1]
+        g = pending.pop(vertex)
+        for parent, vjp in vertex.parents:
             contrib = vjp(g)
             if not parent.parents:
                 _accumulate(parent, contrib)

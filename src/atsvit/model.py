@@ -182,11 +182,12 @@ def patch_embed(images: Sequence[np.ndarray], weights: dict[str, Node],
     learned positional embeddings added. The images' tokens are stacked as
     rows: image b owns rows [b*T, (b+1)*T). Each image gets its own copy of
     the CLS and positional rows, so their leaves take one gradient per
-    image."""
+    image. The pixel patches are a constant operand: nothing reads their
+    gradient."""
     n = len(images)
     dtype = weights["patch.w"].value.dtype
-    patches = ag.leaf(np.concatenate([extract_patches(im, cfg)
-                                      for im in images]).astype(dtype))
+    patches = np.concatenate([extract_patches(im, cfg)
+                              for im in images]).astype(dtype)
     projected = ag.add_row(ag.matmul(patches, weights["patch.w"], n),
                            weights["patch.b"], n)
     cls, pos = weights["cls"], weights["pos"]

@@ -127,9 +127,12 @@ class _Tally:
 # 32 and 64 on the eval-adaptive passes; see CHANGES.md.
 CHUNK = 32
 # Images per recorded stacked forward_prefix pass in train. A recorded pass
-# keeps its whole graph until its backward walk; measured over 2, 4 and 8 on
-# train-baseline (rate and peak memory); see CHANGES.md.
-TRAIN_CHUNK = 4
+# keeps what its backward reads, about 0.48 MB per image, until its walk. On
+# train-baseline (seed 0, medians of 3 runs), chunks of 4, 8 and 16 ran 293,
+# 335 and 356 img/s at a peak RSS of 77.5, 79.0 and 83.1 MB, against 288
+# img/s and 79.3 MB when a recorded pass kept every node's value (chunk 4):
+# 8 is the largest chunk whose peak RSS is not above that. See BENCH_16.json.
+TRAIN_CHUNK = 8
 
 
 def _chunks(n: int) -> Iterator[range]:

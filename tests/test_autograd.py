@@ -1,4 +1,5 @@
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +196,69 @@ class TestNoGrad:
                 pass
             assert ag.add(x, x).parents == ()
         assert ag.add(x, x).parents
+
+
+    def test_no_vertex_is_made(self):
+        """An unrecorded pass allocates no graph: neither its results nor
+        the leaves it reads get a vertex."""
+        rng = Rng(2)
+        args = (ag.leaf(rng.normal((3, 4))), ag.leaf(rng.normal((4, 4))),
+                ag.leaf(rng.normal((4,))))
+        with ag.no_grad():
+            bare = _every_op(*args)
+        assert all(n.vertex is None for n in (*args, *bare))
+
+
+class TestTapeMemory:
+    """A recorded graph keeps only the arrays its vjps read, as they were
+    when the op ran."""
+
+    def test_pre_bias_product_is_freed(self):
+        rng = Rng(60)
+        x0, w0 = rng.normal((5, 4)), rng.normal((4, 3))
+        x, w, b = ag.leaf(x0), ag.leaf(w0), ag.leaf(rng.normal((3,)))
+        product = ag.matmul(x, w)
+        freed = weakref.ref(product.value)
+        y = ag.add_row(product, b)
+        del product
+        assert freed() is None
+        g = rng.normal((5, 3))
+        ag.backward({y: g})
+        assert x.grad.tobytes() == (g @ w0.T).tobytes()
+        assert w.grad.tobytes() == (x0.T @ g).tobytes()
+
+    def test_constant_operand_gets_no_edge(self):
+        rng = Rng(61)
+        a, w0, g = rng.normal((5, 4)), rng.normal((4, 3)), rng.normal((5, 3))
+        w = ag.leaf(w0)
+        y = ag.matmul(a, w)
+        assert y.value.tobytes() == (a @ w0).tobytes()
+        assert len(y.parents) == 1
+        ag.backward({y: g})
+        assert w.grad.tobytes() == (a.T @ g).tobytes()
+
+    def test_gradients_are_of_the_recorded_values(self):
+        """Replacing a leaf's value between a recorded forward and its
+        backward, as an optimizer step does, leaves the gradients those of
+        the values the forward read."""
+        rng = Rng(62)
+        x0, w0, b0 = rng.normal((5, 4)), rng.normal((4, 6)), rng.normal((6,))
+        g0, t0 = 1.0 + rng.normal((6,), 0.2), rng.normal((5, 6))
+
+        def loss(x, w, b, gamma):
+            h = ag.gelu(ag.layer_norm(ag.add_row(ag.matmul(x, w), b), gamma,
+                                      ag.leaf(np.zeros(6))))
+            return sum_all(mul(ag.softmax_rows(h), ag.leaf(t0)))
+
+        replaced = [ag.leaf(a) for a in (x0, w0, b0, g0)]
+        out = loss(*replaced)
+        for leaf in replaced:
+            leaf.value = 2.0 * leaf.value + 1.0
+        ag.backward(out)
+        kept = [ag.leaf(a) for a in (x0, w0, b0, g0)]
+        ag.backward(loss(*kept))
+        for a, b in zip(replaced, kept):
+            assert a.grad.tobytes() == b.grad.tobytes()
 
 
 def _random_composite(seed: int):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,8 @@ from atsvit import autograd as ag
 from atsvit import numerics
 from atsvit.container import BadMagicError, TruncatedPayloadError
 from atsvit.model import (ModelConfig, ShapeMismatchError, extract_patches,
-                          forward, init_weights, load_weights, patch_embed,
-                          save_weights)
+                          forward, forward_prefix, init_weights, load_weights,
+                          patch_embed, save_weights)
 from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import Policy, Scoring, sample_indices
 
@@ -250,6 +253,27 @@ class TestWorkDoneOnce:
         # Patch embedding and head compute 3 nodes each, a block 17 of its 25:
         # its 3 slice_cols, 3 split_cols, transpose and concat_cols only copy.
         assert len(checked) == 3 + 17 * cfg.depth + 3
+
+
+def test_recorded_stacked_prefix_keeps_at_most_750_kb_per_image():
+    """A recorded 4-image prefix at the default architecture keeps only the
+    arrays its vjps read: about 480 KB per image, where keeping every node's
+    value took about 1.2 MB."""
+    cfg = ModelConfig()
+    w = init_weights(cfg, Rng(2), dtype=np.float32)
+    images = [Rng(9, stream=i).uniform((32, 32, 1)) for i in range(4)]
+    forward_prefix(images, cfg, w)  # first calls may allocate lasting caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prefixes = forward_prefix(images, cfg, w)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert prefixes[0].stacked.tokens.parents
+    assert kept <= 4 * 750_000, kept
 
 
 class TestSamplingIsParameterFree:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from atsvit import autograd as ag
 from atsvit import trainer
+from atsvit.cli import main
 from atsvit.dataset import DatasetManifest, generate
 from atsvit.flops import model_macs
 from atsvit.model import (ModelConfig, as_nodes, backward_prefix, forward,
@@ -384,6 +385,57 @@ class TestChunkedTrain:
             for name in tensors:
                 assert (chunked[name].grad.tobytes()
                         == alone[name].grad.tobytes()), (name, cfg.runtime_dict())
+
+
+class TestChunkSizeInvariance:
+    """CHUNK and TRAIN_CHUNK are read at call time; no value of either may
+    change a byte of what train, evaluate or sweep produce."""
+    TRAIN_CHUNKS = (1, 2, 4, 8, 16)
+    CHUNKS = (1, 3, 32)
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        cfg, tensors = load_weights(str(TestChunkedEvaluate.STORED))
+        train_set, val_set = generate(DatasetManifest(seed=6, n_train=21,
+                                                      n_val=35))
+        return cfg, tensors, train_set, val_set
+
+    @pytest.mark.parametrize("sampled", [False, True],
+                             ids=["unsampled", "inverse-k8"])
+    def test_weights_after_an_epoch(self, stored, monkeypatch, sampled):
+        base, tensors, train_set, val_set = stored
+        cfg = base.with_sampling((2, 3, 4, 5), k=8) if sampled else base
+        outcomes = []
+        for chunk in self.TRAIN_CHUNKS:
+            monkeypatch.setattr(trainer, "TRAIN_CHUNK", chunk)
+            w = as_nodes(tensors)
+            # Batches of 19 and 2 images: every chunk size ends a batch
+            # with a partial chunk.
+            rows = train(cfg, w, train_set, val_set[:3], epochs=1,
+                         batch_size=19, seed=1)
+            outcomes.append((rows, {n: v.value.tobytes() for n, v in w.items()}))
+        assert all(o == outcomes[0] for o in outcomes[1:])
+        assert outcomes[0][1] != {n: v.tobytes() for n, v in tensors.items()}
+
+    def test_evaluate_and_sweep(self, stored, monkeypatch, tmp_path):
+        base, tensors, _, val_set = stored
+        w = as_nodes(tensors)
+        configs = [base, base.with_sampling((2, 3, 4, 5), k=8),
+                   base.with_sampling((2, 3, 4, 5), k=8, policy=Policy.RANDOM)]
+        results, sweeps = [], []
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(trainer, "CHUNK", chunk)
+            results.append([evaluate(cfg, w, val_set, seed=3) for cfg in configs])
+            out = tmp_path / f"sweep{chunk}.csv"
+            assert main(["sweep", "--weights", str(TestChunkedEvaluate.STORED),
+                         "--n-val", str(len(val_set)), "--budgets", "2,8",
+                         "--policies", "inverse,random", "--scorings",
+                         "cls-vnorm,rowsum", "--out", str(out), "--quiet"]) == 0
+            sweeps.append(out.read_bytes())
+        for other in results[1:]:
+            for a, b in zip(results[0], other, strict=True):
+                assert_same_result(a, b)
+        assert sweeps[1:] == sweeps[:1] * (len(self.CHUNKS) - 1)
 
 
 class TestPrefixCache:
