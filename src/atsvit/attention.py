@@ -8,12 +8,11 @@ node, and attend mixes the values and projects them. Weights use a fused
 (d, 3d) QKV projection; head i owns columns [i*hd, (i+1)*hd) of each of the
 q/k/v column blocks, in that order.
 
-Several images of T tokens each can run as one pass: their tokens are the
-(images*T, d) rows, image b owning rows [b*T, (b+1)*T), and their heads are
-the (images*heads, T, head_dim) stacks, image b owning matrices
-[b*heads, (b+1)*heads). Every product is then the same per-matrix or
-per-row product a single image gets, and the gradients of the shared
-weights come back one image at a time (see autograd).
+Several images of T tokens each can run as one pass: their tokens are a
+(images, T, d) array and their heads (images, heads, T, head_dim) stacks,
+image b owning index b of the leading axis. Every product is then the same
+per-matrix or per-row product a single image gets, and the gradients of the
+shared weights come back one image at a time (see autograd).
 """
 
 from __future__ import annotations
@@ -34,16 +33,16 @@ class AttentionState:
     v: Node
 
 
-def project_qkv(tokens: Node, qkv_w: Node, qkv_b: Node, heads: int,
-                images: int = 1) -> tuple[Node, Node, Node]:
+def project_qkv(tokens: Node, qkv_w: Node, qkv_b: Node,
+                heads: int) -> tuple[Node, Node, Node]:
     """Fused linear projection of tokens into per-head queries, keys and
-    values, each (images*heads, T, head_dim)."""
+    values, each (heads, T, head_dim), or (images, heads, T, head_dim) for a
+    stack of images."""
     d = tokens.shape[-1]
     if qkv_w.shape != (d, 3 * d):
         raise ValueError(f"qkv weight shape {qkv_w.shape}, expected {(d, 3 * d)}")
-    fused = ag.add_row(ag.matmul(tokens, qkv_w, images), qkv_b, images)
-    q, k, v = (ag.split_cols(ag.slice_cols(fused, i * d, (i + 1) * d), heads,
-                             images)
+    fused = ag.add_row(ag.matmul(tokens, qkv_w), qkv_b)
+    q, k, v = (ag.split_cols(ag.slice_cols(fused, i * d, (i + 1) * d), heads)
                for i in range(3))
     return q, k, v
 
@@ -56,9 +55,7 @@ def attention_matrix(q: Node, k: Node) -> Node:
     return ag.softmax_rows(ag.scale(ag.matmul(q, ag.transpose(k)), inv))
 
 
-def attend(state: AttentionState, out_w: Node, out_b: Node,
-           images: int = 1) -> Node:
+def attend(state: AttentionState, out_w: Node, out_b: Node) -> Node:
     """Attention-weighted value mix of every head, concatenated and projected."""
     mixed = ag.matmul(state.attn, state.v)
-    return ag.add_row(ag.matmul(ag.concat_cols(mixed, images), out_w, images),
-                      out_b, images)
+    return ag.add_row(ag.matmul(ag.concat_cols(mixed), out_w), out_b)

@@ -14,15 +14,17 @@ allocate .grad lazily as zeros and add each contribution with += as it
 arrives, so a fresh pass requires explicit zeroing (zero_grads).
 Intermediate gradients live only for the duration of one backward() call.
 
-Several images can share one pass: their rows are stacked, image b owning
-the b-th block of rows, and the ops that mix rows with a shared weight
-(matmul, add_row, layer_norm) take the image count. Their weight gradient is
-then a stack of one contribution per image, and a leaf adds a stack one image
-at a time, in image order, so its float sums run as if each image had had
-its own pass. tile_rows gives each image its own copy of a leaf's rows in the
-same way. backward() also takes several seeded roots, so a walk can go on
-from the nodes of a stacked pass once every image's own graph has been
-walked back to views of them.
+Several images can share one pass: their arrays gain a leading image axis,
+tokens (images, T, d) and head stacks (images, heads, T, hd), while a single
+image keeps its (T, d) and (heads, T, hd) arrays. Every op works on the
+trailing axes, so it reads the image count from its operand's shape. A
+weight shared by the images (matmul's 2-D b, add_row's row, layer_norm's
+gamma and beta) then gets a stack of one gradient per image, and a leaf adds
+a stack one image at a time, in image order, so its float sums run as if
+each image had had its own pass. tile_rows makes the image axis, giving each
+image its own copy of a leaf's rows. backward() also takes several seeded
+roots, so a walk can go on from the nodes of a stacked pass once every
+image's own graph has been walked back to views of them.
 
 Each op that computes values checks them for NaN and Inf, so an overflow
 names the op that made it. The copy ops (transpose, gather_rows, slice_cols,
@@ -152,23 +154,16 @@ def add(a: Node, b: Node) -> Node:
                  _recording and ((a, lambda g: g), (b, lambda g: g)))
 
 
-def _per_image(x: np.ndarray, images: int) -> np.ndarray:
-    """(images*m, n) -> (images, m, n), a view."""
-    return x.reshape(images, -1, x.shape[-1])
+def _row_sum(g: np.ndarray) -> np.ndarray:
+    """The sum of g's rows: of each image's rows, for a stack of images."""
+    return np.add.reduce(g, axis=-2)
 
 
-def _row_sum(g: np.ndarray, images: int) -> np.ndarray:
-    """The sum of g's rows, or with images > 1 the stack of each image's."""
-    if images == 1:
-        return np.add.reduce(g, axis=0)
-    return np.add.reduce(_per_image(g, images), axis=1)
-
-
-def add_row(a: Node, row: Node, images: int = 1) -> Node:
-    """Broadcast-add a length-n row vector to every row of an (m, n) matrix."""
+def add_row(a: Node, row: Node) -> Node:
+    """Broadcast-add a length-n row vector to every row of a's (m, n)
+    matrices."""
     return _make("add_row", a.value + row.value,
-                 _recording and ((a, lambda g: g),
-                                 (row, lambda g: _row_sum(g, images))))
+                 _recording and ((a, lambda g: g), (row, _row_sum)))
 
 
 def scale(a: Node, c: float) -> Node:
@@ -176,30 +171,23 @@ def scale(a: Node, c: float) -> Node:
                  _recording and ((a, lambda g: g * c),))
 
 
-def matmul(a: Node | np.ndarray, b: Node, images: int = 1) -> Node:
-    """Matrix product; stacked operands multiply matrix by matrix. a may be
-    a plain array, a constant that gets no gradient.
+def matmul(a: Node | np.ndarray, b: Node) -> Node:
+    """Matrix product; stacked operands multiply matrix by matrix, and a
+    stack of images' rows (images, m, k) shares a 2-D b. a may be a plain
+    array, a constant that gets no gradient.
 
-    With images > 1, a holds the rows of that many images and b is a matrix
-    they share. The product stays one call, but both gradients are taken
-    image by image, as a 3-D product: b gets the stack of each image's
-    a_b^T g_b, and a gets each g_b b^T, the bytes one image's pass gives (a
-    single product over every image's rows can round differently).
-
-    The vjps keep the operand arrays of this call, so a leaf whose value is
-    replaced before backward still gets the gradient of the recorded one."""
+    The vjps take the same products a pass of one image would: with a stack
+    of images and a shared b, b gets the stack of each image's a_b^T g_b and
+    a gets each g_b b^T. They keep the operand arrays of this call, so a
+    leaf whose value is replaced before backward still gets the gradient of
+    the recorded one."""
     av = a if isinstance(a, np.ndarray) else a.value
     bv = b.value
     v = numerics.matmul(av, bv)
     if not _recording:
         return _make("matmul", v, ())
-    if images == 1:
-        edges = ((a, lambda g: g @ bv.swapaxes(-1, -2)),
-                 (b, lambda g: av.swapaxes(-1, -2) @ g))
-    else:
-        edges = ((a, lambda g: (_per_image(g, images) @ bv.T).reshape(av.shape)),
-                 (b, lambda g: _per_image(av, images).swapaxes(1, 2)
-                     @ _per_image(g, images)))
+    edges = ((a, lambda g: g @ bv.swapaxes(-1, -2)),
+             (b, lambda g: av.swapaxes(-1, -2) @ g))
     return _make("matmul", v, edges[1:] if a is av else edges)
 
 
@@ -227,8 +215,7 @@ def _layer_norm_vjp(g, xhat, inv_std, gv):
     return (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat)) * inv_std
 
 
-def layer_norm(x: Node, gamma: Node, beta: Node, images: int = 1,
-               eps: float = 1e-5) -> Node:
+def layer_norm(x: Node, gamma: Node, beta: Node, eps: float = 1e-5) -> Node:
     xv = x.value
     centered = xv - _row_mean(xv)
     inv_std = 1.0 / np.sqrt(_row_mean(centered * centered) + eps)
@@ -236,8 +223,8 @@ def layer_norm(x: Node, gamma: Node, beta: Node, images: int = 1,
     out = xhat * gamma.value + beta.value
     return _make("layer_norm", out, _recording and (
         (x, lambda g, gv=gamma.value: _layer_norm_vjp(g, xhat, inv_std, gv)),
-        (gamma, lambda g: _row_sum(g * xhat, images)),
-        (beta, lambda g: _row_sum(g, images)),
+        (gamma, lambda g: _row_sum(g * xhat)),
+        (beta, _row_sum),
     ))
 
 
@@ -269,71 +256,63 @@ def gather_rows(a: Node, idx: Sequence[int]) -> Node:
 
 def _pad_cols(g, start, stop, shape, dtype):
     out = np.zeros(shape, dtype=dtype)
-    out[:, start:stop] = g
+    out[..., start:stop] = g
     return out
 
 
 def slice_cols(a: Node, start: int, stop: int) -> Node:
-    return Node(a.value[:, start:stop].copy(), _recording and (
+    return Node(a.value[..., start:stop].copy(), _recording and (
         (a, lambda g, shape=a.value.shape, dtype=a.value.dtype:
             _pad_cols(g, start, stop, shape, dtype)),))
 
 
-def _stack(x: np.ndarray, n: int, images: int) -> np.ndarray:
-    """(images*m, n*w) -> (images*n, m, w): column block i of image b's m
-    rows becomes matrix b*n + i of the stack. A view where numpy can make
-    one."""
-    rows, cols = x.shape
-    m, w = rows // images, cols // n
-    return (x.reshape(images, m, n, w).transpose(0, 2, 1, 3)
-             .reshape(images * n, m, w))
+def _split(x: np.ndarray, n: int) -> np.ndarray:
+    """(..., m, n*w) -> (..., n, m, w): column block i of the m rows becomes
+    matrix i of a stack. A view for one image's rows; the stacks of several
+    images are copied, since the products of a backward walk read a
+    contiguous stack faster than a strided one."""
+    stack = x.reshape(*x.shape[:-1], n, -1).swapaxes(-2, -3)
+    return stack if stack.ndim == 3 else np.ascontiguousarray(stack)
 
 
-def _unstack(x: np.ndarray, images: int) -> np.ndarray:
-    """(images*n, m, w) -> (images*m, n*w), the inverse of _stack."""
-    rows, m, w = x.shape
-    n = rows // images
-    return (x.reshape(images, n, m, w).transpose(0, 2, 1, 3)
-             .reshape(images * m, n * w))
+def _join(x: np.ndarray) -> np.ndarray:
+    """(..., n, m, w) -> (..., m, n*w), the inverse of _split."""
+    return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], -1)
 
 
-def split_cols(a: Node, n: int, images: int = 1) -> Node:
-    """(images*m, n*w) -> (images*n, m, w): the rows hold the m-row matrices
-    of `images` images, and column block i of image b becomes matrix b*n + i
-    of a stack."""
-    return Node(np.ascontiguousarray(_stack(a.value, n, images)),
-                _recording and ((a, lambda g: _unstack(g, images)),))
+def split_cols(a: Node, n: int) -> Node:
+    """(..., m, n*w) -> (..., n, m, w): column block i of the rows becomes
+    matrix i of a stack."""
+    return Node(np.ascontiguousarray(_split(a.value, n)),
+                _recording and ((a, _join),))
 
 
-def concat_cols(a: Node, images: int = 1) -> Node:
-    """(images*n, m, w) -> (images*m, n*w), the inverse of split_cols."""
-    n = a.value.shape[0] // images
-    return Node(_unstack(a.value, images), _recording and (
-        (a, lambda g: _stack(g, n, images)),))
+def concat_cols(a: Node) -> Node:
+    """(..., n, m, w) -> (..., m, n*w), the inverse of split_cols."""
+    n = a.shape[-3]
+    return Node(_join(a.value), _recording and (
+        (a, lambda g: _split(g, n)),))
 
 
 def tile_rows(a: Node, images: int) -> Node:
-    """(m, n) -> (images*m, n): a copy of a's rows for each image. Its
-    gradient is the stack of the images' blocks, so a leaf adds each image's
-    block on its own."""
-    return Node(np.tile(a.value, (images, 1)), _recording and (
-        (a, lambda g, shape=a.value.shape: g.reshape(images, *shape)),))
+    """(m, n) -> (images, m, n): a copy of a's rows for each image. Its
+    gradient is the stack of the images' copies, which a leaf adds one image
+    at a time."""
+    return Node(np.tile(a.value, (images, 1, 1)),
+                _recording and ((a, lambda g: g),))
 
 
-def _row_blocks(nodes: Sequence[Node], images: int) -> tuple:
-    offsets = np.cumsum([0] + [n.value.shape[0] // images for n in nodes])
-    return tuple((n, (lambda g, s=offsets[i], e=offsets[i + 1]:
-                      _per_image(g, images)[:, s:e].reshape(-1, g.shape[-1])))
+def _row_blocks(nodes: Sequence[Node]) -> tuple:
+    offsets = np.cumsum([0] + [n.shape[-2] for n in nodes])
+    return tuple((n, (lambda g, s=offsets[i], e=offsets[i + 1]: g[..., s:e, :]))
                  for i, n in enumerate(nodes))
 
 
-def concat_rows(nodes: Sequence[Node], images: int = 1) -> Node:
-    """Join the rows of (m_i, n) matrices. With images > 1 each holds a
-    block of rows per image, and image b's rows are its blocks in node
-    order."""
-    blocks = [_per_image(n.value, images) for n in nodes]
-    return Node(np.concatenate(blocks, axis=1).reshape(-1, blocks[0].shape[-1]),
-                _recording and _row_blocks(nodes, images))
+def concat_rows(nodes: Sequence[Node]) -> Node:
+    """Join the rows of (m_i, n) matrices, or of each image's matrices of
+    (images, m_i, n) stacks."""
+    return Node(np.concatenate([n.value for n in nodes], axis=-2),
+                _recording and _row_blocks(nodes))
 
 
 def _cross_entropy_vjp(g, shifted, lse, label, shape):

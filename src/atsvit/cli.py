@@ -30,7 +30,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Node
 from .container import ContainerError
-from .dataset import DatasetManifest, generate, load_pgm, save_pgm
+from .dataset import (IMAGE_SIZE, NUM_CLASSES, DatasetManifest, generate,
+                      load_pgm, save_pgm)
 from .flops import static_macs
 from .model import (ARCH_FIELDS, ModelConfig, init_weights, as_nodes, forward,
                     load_weights, save_weights)
@@ -134,6 +135,22 @@ def _arch_config(args) -> ModelConfig:
     return ModelConfig(**fields)
 
 
+def _check_data_fit(arch: ModelConfig) -> ModelConfig:
+    """arch, once it fits the generated data: grayscale IMAGE_SIZE-pixel
+    square images, each labelled with one of NUM_CLASSES classes. Checked
+    before any weights are made or images rendered."""
+    if (arch.image_size, arch.channels) != (IMAGE_SIZE, 1):
+        raise ValueError(
+            f"the generated images are {IMAGE_SIZE}x{IMAGE_SIZE} with 1 channel, "
+            f"but the model takes image_size {arch.image_size} with "
+            f"{arch.channels} channels")
+    if arch.num_classes < NUM_CLASSES:
+        raise ValueError(
+            f"the generated data has {NUM_CLASSES} classes, but the model "
+            f"has num_classes {arch.num_classes}")
+    return arch
+
+
 def _apply_runtime(cfg: ModelConfig, args) -> ModelConfig:
     stages = _parse_stages(args.ats_stages)
     k = args.k if args.k is not None else (cfg.num_patches if stages else cfg.sampler.k)
@@ -143,10 +160,14 @@ def _apply_runtime(cfg: ModelConfig, args) -> ModelConfig:
                              scoring=Scoring(args.scoring))
 
 
-def _load_model(args) -> tuple[ModelConfig, dict[str, Node]]:
+def _load_model(args, fit_data: bool = True
+                ) -> tuple[ModelConfig, dict[str, Node]]:
     """The weight file's architecture under the runtime flags, and its
-    weights as nodes of the fast dtype."""
+    weights as nodes of the fast dtype. With fit_data, the architecture must
+    fit the generated data (see _check_data_fit)."""
     arch, tensors = load_weights(args.weights)
+    if fit_data:
+        _check_data_fit(arch)
     return _apply_runtime(arch, args), as_nodes(tensors, dtype=FAST_DTYPE)
 
 
@@ -183,7 +204,7 @@ def _fit(cfg: ModelConfig, weights, args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _apply_runtime(_arch_config(args), args)
+    cfg = _apply_runtime(_check_data_fit(_arch_config(args)), args)
     return _fit(cfg, init_weights(cfg, Rng(args.seed), dtype=FAST_DTYPE), args)
 
 
@@ -244,6 +265,7 @@ def resolve_budget(cfg: ModelConfig, weights, val_set, fractions: list[float],
 
 def cmd_sweep(args) -> int:
     arch, tensors = load_weights(args.weights)
+    _check_data_fit(arch)
     if args.mac_fraction is None:
         fractions, budgets = None, _parse_budgets(args.budgets, arch.num_patches)
     else:
@@ -285,7 +307,8 @@ def cmd_sweep(args) -> int:
 def cmd_masks(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be non-negative, got {args.count}")
-    cfg, weights = _load_model(args)
+    # Masks computes no loss, and its images may be PGMs of any size.
+    cfg, weights = _load_model(args, fit_data=False)
     if args.images:
         images = [load_pgm(p) for p in args.images]
     else:

@@ -179,21 +179,21 @@ def extract_patches(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 def patch_embed(images: Sequence[np.ndarray], weights: dict[str, Node],
                 cfg: ModelConfig) -> Node:
     """Linear projection of flattened patches, CLS prepended at row 0,
-    learned positional embeddings added. The images' tokens are stacked as
-    rows: image b owns rows [b*T, (b+1)*T). Each image gets its own copy of
-    the CLS and positional rows, so their leaves take one gradient per
+    learned positional embeddings added: (T, d) tokens for one image, and a
+    (images, T, d) stack for several, in which each image gets its own copy
+    of the CLS and positional rows, so their leaves take one gradient per
     image. The pixel patches are a constant operand: nothing reads their
     gradient."""
     n = len(images)
     dtype = weights["patch.w"].value.dtype
-    patches = np.concatenate([extract_patches(im, cfg)
-                              for im in images]).astype(dtype)
-    projected = ag.add_row(ag.matmul(patches, weights["patch.w"], n),
-                           weights["patch.b"], n)
+    patches = np.stack([extract_patches(im, cfg)
+                        for im in images]).astype(dtype)
+    projected = ag.add_row(ag.matmul(patches[0] if n == 1 else patches,
+                                     weights["patch.w"]), weights["patch.b"])
     cls, pos = weights["cls"], weights["pos"]
     if n > 1:
         cls, pos = ag.tile_rows(cls, n), ag.tile_rows(pos, n)
-    return ag.add(ag.concat_rows([cls, projected], n), pos)
+    return ag.add(ag.concat_rows([cls, projected]), pos)
 
 
 @dataclass
@@ -204,9 +204,9 @@ class Prefix:
     k, policy, scoring or the Rng, so every sampled config with the same
     first stage can branch from it.
 
-    An image of a stacked pass gets leaves over views of the pass's values,
-    and `stacked` holds the pass's own prefix; backward_prefix carries the
-    gradients the views receive on into it."""
+    Image b of a stacked pass gets leaves over the views value[b] of the
+    pass's (images, ...) arrays, and `stacked` holds the pass's own prefix;
+    backward_prefix carries the gradients the views receive on into it."""
     stage: int
     tokens: Node
     state: AttentionState | None
@@ -223,22 +223,19 @@ def first_stage(cfg: ModelConfig) -> int:
 
 
 def _attention_state(tokens: Node, weights: dict[str, Node], p: str,
-                     heads: int, images: int = 1) -> AttentionState:
-    normed = ag.layer_norm(tokens, weights[p + "ln1.g"], weights[p + "ln1.b"],
-                           images)
+                     heads: int) -> AttentionState:
+    normed = ag.layer_norm(tokens, weights[p + "ln1.g"], weights[p + "ln1.b"])
     q, k, v = project_qkv(normed, weights[p + "qkv.w"], weights[p + "qkv.b"],
-                          heads, images)
+                          heads)
     return AttentionState(attention_matrix(q, k), v)
 
 
-def _mlp_residual(tokens: Node, weights: dict[str, Node], p: str,
-                  images: int = 1) -> Node:
-    normed = ag.layer_norm(tokens, weights[p + "ln2.g"], weights[p + "ln2.b"],
-                           images)
-    hidden = ag.gelu(ag.add_row(ag.matmul(normed, weights[p + "mlp1.w"], images),
-                                weights[p + "mlp1.b"], images))
-    mlp_out = ag.add_row(ag.matmul(hidden, weights[p + "mlp2.w"], images),
-                         weights[p + "mlp2.b"], images)
+def _mlp_residual(tokens: Node, weights: dict[str, Node], p: str) -> Node:
+    normed = ag.layer_norm(tokens, weights[p + "ln2.g"], weights[p + "ln2.b"])
+    hidden = ag.gelu(ag.add_row(ag.matmul(normed, weights[p + "mlp1.w"]),
+                                weights[p + "mlp1.b"]))
+    mlp_out = ag.add_row(ag.matmul(hidden, weights[p + "mlp2.w"]),
+                         weights[p + "mlp2.b"])
     return ag.add(tokens, mlp_out)
 
 
@@ -249,27 +246,26 @@ def forward_prefix(images: Sequence[np.ndarray], cfg: ModelConfig,
     stacked pass. Draws no random words.
 
     One image gets the pass's own nodes, so its backward walks the whole
-    pass. Several get leaves over views of the stacked values; recorded,
-    their gradients reach the weights through backward_prefix, once every
-    image's own backward has run."""
+    pass. Several run as (images, ...) arrays, and image b gets leaves over
+    their views value[b]; recorded, their gradients reach the weights
+    through backward_prefix, once every image's own backward has run."""
     n = len(images)
     stage = first_stage(cfg)
     tokens = patch_embed(images, weights, cfg)
     for i in range(stage):
         p = f"block{i}."
-        state = _attention_state(tokens, weights, p, cfg.heads, n)
+        state = _attention_state(tokens, weights, p, cfg.heads)
         tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
-                                       weights[p + "out.b"], n))
-        tokens = _mlp_residual(tokens, weights, p, n)
-    state = (_attention_state(tokens, weights, f"block{stage}.", cfg.heads, n)
+                                       weights[p + "out.b"]))
+        tokens = _mlp_residual(tokens, weights, p)
+    state = (_attention_state(tokens, weights, f"block{stage}.", cfg.heads)
              if stage < cfg.depth else None)
     whole = Prefix(stage=stage, tokens=tokens, state=state)
     if n == 1:
         return [whole]
 
     def per_image(node: Node) -> list[Node]:
-        size = node.shape[0] // n
-        return [Node(node.value[b * size:(b + 1) * size]) for b in range(n)]
+        return [Node(value) for value in node.value]
 
     states = ([None] * n if state is None else
               [AttentionState(a, v) for a, v in zip(per_image(state.attn),
@@ -281,14 +277,14 @@ def forward_prefix(images: Sequence[np.ndarray], cfg: ModelConfig,
 def backward_prefix(prefixes: Sequence[Prefix]) -> None:
     """Finish the backward walk of one recorded forward_prefix call, after
     each image's own backward has reached its prefix: one walk from the
-    stacked tokens, attention and value nodes, each seeded with what its
-    per-image views received, in image order. A prefix of one image is its
-    pass's own nodes, which the image's backward has walked already."""
+    stacked tokens, attention and value nodes, each seeded with the stack of
+    what its per-image views received. A prefix of one image is its pass's
+    own nodes, which the image's backward has walked already."""
     whole = prefixes[0].stacked
     if whole is None:
         return
     views = zip(*(p.nodes() for p in prefixes))
-    ag.backward({root: np.concatenate([v.grad for v in per_image])
+    ag.backward({root: np.stack([v.grad for v in per_image])
                  for root, per_image in zip(whole.nodes(), views)})
 
 

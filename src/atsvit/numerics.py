@@ -33,7 +33,11 @@ def assert_finite(name: str, x: np.ndarray) -> None:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with an explicit shape check. Operands of equal
     ndim > 2 are stacks of matrices with equal leading dims, multiplied
-    pairwise (one product per head, say)."""
+    pairwise (one product per head, say). A stack of images' rows
+    (images, m, k) times one (k, n) matrix is a single product of all their
+    rows, viewed as (images*m, k)."""
+    if a.ndim == 3 and b.ndim == 2 and a.shape[-1] == b.shape[0]:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], -1)
     if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")

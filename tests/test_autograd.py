@@ -143,18 +143,23 @@ def test_overflow_is_an_error(op):
 
 def test_non_finite_leaf_through_a_copy_op_trips_the_next_computing_op():
     x = ag.leaf(np.array([[np.inf, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]]))
+    images = ag.leaf(np.stack([x.value, -x.value]))
     for mode in (contextlib.nullcontext(), ag.no_grad()):
         with np.errstate(invalid="ignore"), mode:
             copies = [ag.transpose(x), ag.gather_rows(x, (1, 0)),
                       ag.slice_cols(x, 0, 2), ag.split_cols(x, 2),
                       ag.concat_cols(ag.split_cols(x, 2)), ag.tile_rows(x, 2),
-                      ag.concat_rows([x, x]), ag.concat_rows([x, x], 2)]
+                      ag.concat_rows([x, x]), ag.concat_rows([images, images]),
+                      ag.slice_cols(images, 0, 2), ag.split_cols(images, 2),
+                      ag.concat_cols(ag.split_cols(images, 2))]
             for copy in copies:
                 with pytest.raises(NonFiniteError, match="in scale$"):
                     ag.scale(copy, 1.0)
 
 
-def _every_op(x, w, row):
+def _every_op(x, w, row, images):
+    """Every op on x (3, 4), w (4, 4), row (4,) and images, a (2, 3, 4)
+    stack of two images' rows."""
     stack = ag.split_cols(x, 2)
     return [ag.add(x, x), ag.add_row(x, row), ag.scale(x, 2.0),
             ag.matmul(x, w), ag.matmul(stack, ag.transpose(stack)),
@@ -162,17 +167,20 @@ def _every_op(x, w, row):
             ag.gelu(x), ag.gather_rows(x, (2, 0)), ag.gather_rows(stack, (2, 0)),
             ag.slice_cols(x, 1, 3), stack, ag.concat_cols(stack),
             ag.concat_rows([x, x]), ag.cross_entropy(ag.gather_rows(x, (0,)), 1),
-            ag.matmul(ag.concat_rows([x, x]), w, 2), ag.tile_rows(x, 3),
-            ag.add_row(ag.concat_rows([x, x]), row, 2),
-            ag.layer_norm(ag.concat_rows([x, x]), row, row, 2),
-            ag.concat_rows([x, x], 3)]
+            ag.matmul(images, w), ag.tile_rows(x, 3), ag.add_row(images, row),
+            ag.layer_norm(images, row, row), ag.concat_rows([images, images]),
+            ag.slice_cols(images, 1, 3), ag.split_cols(images, 2),
+            ag.concat_cols(ag.split_cols(images, 2))]
+
+
+def _every_op_args(rng):
+    return (ag.leaf(rng.normal((3, 4))), ag.leaf(rng.normal((4, 4))),
+            ag.leaf(rng.normal((4,))), ag.leaf(rng.normal((2, 3, 4))))
 
 
 class TestNoGrad:
     def test_every_op_same_value_without_parents(self):
-        rng = Rng(2)
-        args = (ag.leaf(rng.normal((3, 4))), ag.leaf(rng.normal((4, 4))),
-                ag.leaf(rng.normal((4,))))
+        args = _every_op_args(Rng(2))
         recorded = _every_op(*args)
         with ag.no_grad():
             bare = _every_op(*args)
@@ -201,9 +209,7 @@ class TestNoGrad:
     def test_no_vertex_is_made(self):
         """An unrecorded pass allocates no graph: neither its results nor
         the leaves it reads get a vertex."""
-        rng = Rng(2)
-        args = (ag.leaf(rng.normal((3, 4))), ag.leaf(rng.normal((4, 4))),
-                ag.leaf(rng.normal((4,))))
+        args = _every_op_args(Rng(2))
         with ag.no_grad():
             bare = _every_op(*args)
         assert all(n.vertex is None for n in (*args, *bare))
@@ -398,15 +404,17 @@ class TestStackedOps:
             ag.split_cols(ag.leaf(np.ones((2, 5))), 2)
 
     def test_numerics_matmul_rejects_mismatched_stacks(self):
-        for a, b in [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (4, 5)),
-                     ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 3, 5)), ((4,), (4,))]:
+        for a, b in [((2, 3, 4), (3, 4, 5)), ((2, 3, 4), (5, 6)),
+                     ((3, 4), (2, 4, 5)), ((2, 3, 4), (2, 3, 5)), ((4,), (4,)),
+                     ((2, 2, 3, 4), (4, 5))]:
             with pytest.raises(ValueError, match="mismatch"):
                 numerics.matmul(np.ones(a), np.ones(b))
 
 
 class TestPerImageStacks:
-    """Ops over several images' stacked rows hand a shared leaf one gradient
-    per image, which it adds in image order."""
+    """Ops over a stack of several images' rows, shaped (images, rows, cols),
+    hand a shared leaf one gradient per image, which it adds in image
+    order."""
 
     def test_leaf_adds_a_stack_one_image_at_a_time(self):
         # In float32, (a + b) + c = 1 but a + (b + c) = 0.
@@ -415,7 +423,8 @@ class TestPerImageStacks:
         x = ag.leaf(np.array([[a]], dtype=np.float32))
         x.grad = x.value.copy()
         tiled = ag.tile_rows(x, 2)
-        ag.backward({tiled: np.array([[b], [c]], dtype=np.float32)})
+        assert tiled.shape == (2, 1, 1)
+        ag.backward({tiled: np.array([[[b]], [[c]]], dtype=np.float32)})
         assert x.grad[0, 0] == (a + b) + c == 1.0
 
     def test_leaf_adds_each_contribution_as_it_arrives(self):
@@ -428,55 +437,68 @@ class TestPerImageStacks:
         assert x.grad[0, 0] == (a + b) + c == 1.0
 
     @pytest.mark.parametrize("shape", [(64, 64), (64, 192), (64, 256), (256, 64)])
+    def test_numerics_matmul_folds_images_onto_a_shared_matrix(self, shape):
+        """(images, T, d) @ (d, e) is, byte for byte, each image's own
+        (T, d) @ (d, e)."""
+        rng = Rng(53)
+        w = rng.normal(shape, 0.1).astype(np.float32)
+        for images in (2, 3, 5, 9):
+            a = rng.normal((images, 17, shape[0])).astype(np.float32)
+            out = numerics.matmul(a, w)
+            assert out.shape == (images, 17, shape[1])
+            for b in range(images):
+                assert out[b].tobytes() == numerics.matmul(a[b], w).tobytes()
+        for a, b in [((2, 3, 4), (5, 6)), ((2, 3, 4), (3, 4, 6))]:
+            with pytest.raises(ValueError, match="matmul shape mismatch"):
+                numerics.matmul(np.ones(a), np.ones(b))
+
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 192), (64, 256), (256, 64)])
     def test_per_image_gradients_equal_per_image_products(self, shape):
-        """The gradients of matmul over several images' rows are, byte for
+        """The gradients of matmul over a stack of images are, byte for
         byte, each image's own products: a_b^T g_b for the shared weight,
         added in image order, and g_b W^T for the rows."""
         n, m = shape
         rng = Rng(50)
         for images in (2, 3, 5, 9):
-            a0 = rng.normal((images * 17, n)).astype(np.float32)
+            a0 = rng.normal((images, 17, n)).astype(np.float32)
             w0 = rng.normal(shape, 0.1).astype(np.float32)
-            g = rng.normal((images * 17, m)).astype(np.float32)
+            g = rng.normal((images, 17, m)).astype(np.float32)
             a, w = ag.leaf(a0), ag.leaf(w0)
-            ag.backward({ag.matmul(a, w, images): g})
+            ag.backward({ag.matmul(a, w): g})
             grad_w = np.zeros_like(w0)
             for b in range(images):
-                rows = slice(17 * b, 17 * (b + 1))
-                assert (a.grad[rows].tobytes()
-                        == (g[rows] @ w0.swapaxes(-1, -2)).tobytes()), images
-                grad_w += a0[rows].swapaxes(-1, -2) @ g[rows]
+                assert (a.grad[b].tobytes()
+                        == (g[b] @ w0.swapaxes(-1, -2)).tobytes()), images
+                grad_w += a0[b].swapaxes(-1, -2) @ g[b]
             assert w.grad.tobytes() == grad_w.tobytes(), images
 
     def test_row_sums_are_taken_per_image(self):
         rng = Rng(51)
-        x0 = rng.normal((3 * 17, 8)).astype(np.float32)
-        g = rng.normal((3 * 17, 8)).astype(np.float32)
+        x0 = rng.normal((3, 17, 8)).astype(np.float32)
+        g = rng.normal((3, 17, 8)).astype(np.float32)
         gamma = ag.leaf(np.ones(8, dtype=np.float32))
         beta, row = (ag.leaf(np.zeros(8, dtype=np.float32)) for _ in range(2))
         x = ag.leaf(x0)
-        ag.backward({ag.layer_norm(x, gamma, beta, 3): g,
-                     ag.add_row(x, row, 3): g})
+        ag.backward({ag.layer_norm(x, gamma, beta): g, ag.add_row(x, row): g})
         alone = [ag.leaf(np.ones(8, dtype=np.float32))] + [
             ag.leaf(np.zeros(8, dtype=np.float32)) for _ in range(2)]
         for b in range(3):
-            rows = slice(17 * b, 17 * (b + 1))
-            xb = ag.leaf(x0[rows])
-            ag.backward({ag.layer_norm(xb, *alone[:2]): g[rows],
-                         ag.add_row(xb, alone[2]): g[rows]})
+            xb = ag.leaf(x0[b])
+            ag.backward({ag.layer_norm(xb, *alone[:2]): g[b],
+                         ag.add_row(xb, alone[2]): g[b]})
         for stacked, single in zip((gamma, beta, row), alone):
             assert stacked.grad.tobytes() == single.grad.tobytes()
 
     def test_tile_rows_and_per_image_concat_rows(self):
         rng = Rng(52)
-        cls, body = rng.normal((1, 3)), rng.normal((2 * 4, 3))
-        tokens = ag.concat_rows([ag.tile_rows(ag.leaf(cls), 2), ag.leaf(body)], 2)
-        assert np.array_equal(tokens.value, np.concatenate(
-            [cls, body[:4], cls, body[4:]]))
-        weight = ag.leaf(rng.normal((10, 3)))
+        cls, body = rng.normal((1, 3)), rng.normal((2, 4, 3))
+        tokens = ag.concat_rows([ag.tile_rows(ag.leaf(cls), 2), ag.leaf(body)])
+        assert np.array_equal(tokens.value, np.stack(
+            [np.concatenate([cls, body[0]]), np.concatenate([cls, body[1]])]))
+        weight = ag.leaf(rng.normal((2, 5, 3)))
         assert ag.grad_check(lambda c: sum_all(mul(
-            ag.concat_rows([ag.tile_rows(c, 2), ag.leaf(body)], 2), weight)),
+            ag.concat_rows([ag.tile_rows(c, 2), ag.leaf(body)]), weight)),
             cls) <= 1e-6
         assert ag.grad_check(lambda x: sum_all(mul(
-            ag.concat_rows([ag.tile_rows(ag.leaf(cls), 2), x], 2), weight)),
+            ag.concat_rows([ag.tile_rows(ag.leaf(cls), 2), x]), weight)),
             body) <= 1e-6

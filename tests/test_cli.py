@@ -14,7 +14,8 @@ from atsvit import cli
 from atsvit.cli import main, resolve_budget
 from atsvit.dataset import DatasetManifest, generate, load_pgm
 from atsvit.flops import static_macs
-from atsvit.model import ModelConfig, as_nodes, forward, load_weights, save_weights
+from atsvit.model import (ModelConfig, as_nodes, forward, init_weights,
+                          load_weights, save_weights)
 from atsvit.numerics import FAST_DTYPE, Rng
 from atsvit.trainer import CHUNK, TRAIN_CHUNK, EvalResult
 
@@ -254,6 +255,50 @@ def test_unknown_config_key_fails_before_data(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unknown config keys ['head']" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["arch.json"]
+
+
+def no_weights(*args, **kwargs):
+    raise AssertionError("weights made for invalid input")
+
+
+# Architectures the generated 32x32, 1-channel, 4-class data does not fit.
+MISFITS = {"num_classes": ({"num_classes": 2}, "has num_classes 2"),
+           "image_size": ({"image_size": 64}, "image_size 64"),
+           "channels": ({"channels": 3}, "with 3 channels")}
+
+
+@pytest.mark.parametrize("misfit", list(MISFITS))
+def test_config_that_does_not_fit_the_data_fails_before_weights(
+        tmp_path, capsys, monkeypatch, misfit):
+    fields, message = MISFITS[misfit]
+    cfg = tmp_path / "arch.json"
+    cfg.write_text(json.dumps(fields))
+    monkeypatch.setattr("atsvit.cli.generate", no_data)
+    monkeypatch.setattr("atsvit.cli.init_weights", no_weights)
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "w.atsw"),
+               "--quiet"] + DATA + FAST)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arch.json"]
+
+
+@pytest.mark.parametrize("misfit", list(MISFITS))
+@pytest.mark.parametrize("command", ["eval", "finetune", "sweep"])
+def test_weight_file_that_does_not_fit_the_data_fails_before_data(
+        tmp_path, capsys, monkeypatch, command, misfit):
+    fields, message = MISFITS[misfit]
+    arch = ModelConfig(**TINY_ARCH, **fields)
+    weights = tmp_path / "w.atsw"
+    save_weights(str(weights), arch, init_weights(arch, Rng(0)))
+    monkeypatch.setattr("atsvit.cli.generate", no_data)
+    flags = {"eval": ["--quiet"], "finetune": FAST, "sweep": ["--quiet"]}
+    rc = main([command, "--weights", str(weights),
+               "--out", str(tmp_path / "out")] + DATA + flags[command])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.atsw"]
 
 
 @pytest.mark.parametrize("flag,value", [
