@@ -41,6 +41,10 @@ EVALS = {
     "plain": [],
     "inverse_k8": ["--ats-stages", STAGES, "--k", "8"],
     "topk_k4": ["--ats-stages", "1,3", "--k", "4", "--policy", "topk"],
+    # A prefix that holds block 0 whole, a partial chunk (32 + 5 images) and
+    # Rng draws on both sides of the prefix. Its --n-val overrides DATA's.
+    "random_s03": ["--ats-stages", "0,3", "--k", "6", "--policy", "random",
+                   "--scoring", "random-token", "--n-val", "37"],
 }
 # The CLI's default data, one without clutter (so no fragment draws) and one
 # with another seed and clutter distribution.
@@ -84,7 +88,7 @@ def run(out: Path) -> None:
                          ("stored", str(STORED))):
         for name, flags in EVALS.items():
             sh(["eval", "--weights", weights,
-                "--out", str(out / f"{tag}_eval_{name}.json")] + flags + DATA)
+                "--out", str(out / f"{tag}_eval_{name}.json")] + DATA + flags)
         sh(["sweep", "--weights", weights, "--out", str(out / f"{tag}_grid.csv"),
             "--ats-stages", STAGES, "--budgets", "1,4,8,16",
             "--policies", "inverse,topk,random"] + SWEEP_SCORINGS + DATA)

@@ -190,6 +190,11 @@ def write_json(path: str, obj: dict) -> None:
         f.write("\n")
 
 
+def _check_epochs(args) -> None:
+    if args.epochs < 0:
+        raise ValueError(f"--epochs must be non-negative, got {args.epochs}")
+
+
 def _fit(cfg: ModelConfig, weights, args) -> int:
     """Train weights under cfg (sampling stages make it a fine-tune), then
     write the weight file and its metrics CSV."""
@@ -204,11 +209,13 @@ def _fit(cfg: ModelConfig, weights, args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_epochs(args)
     cfg = _apply_runtime(_check_data_fit(_arch_config(args)), args)
     return _fit(cfg, init_weights(cfg, Rng(args.seed), dtype=FAST_DTYPE), args)
 
 
 def cmd_finetune(args) -> int:
+    _check_epochs(args)
     return _fit(*_load_model(args), args)
 
 
@@ -307,6 +314,9 @@ def cmd_sweep(args) -> int:
 def cmd_masks(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be non-negative, got {args.count}")
+    if not args.images and args.count > args.n_val:
+        raise ValueError(f"--count {args.count} exceeds --n-val {args.n_val}, "
+                         f"the number of validation images")
     # Masks computes no loss, and its images may be PGMs of any size.
     cfg, weights = _load_model(args, fit_data=False)
     if args.images:

@@ -6,6 +6,11 @@ full t_in x t_in because scores are computed before sampling; savings come
 from the downsampled value mix, the output projection, and every later
 stage. Softmax, layernorm, GELU, and the sampler's own linear-cost work are
 excluded, as is conventional.
+
+The counts are those of one image computed alone, not of the program's
+schedule: a sampling stage is charged K'+1 output rows, although
+forward_prefix computes the first sampling block over all T rows, once per
+image and shared by every config that samples from it (a sweep's rows, say).
 """
 
 from __future__ import annotations

@@ -198,24 +198,25 @@ def patch_embed(images: Sequence[np.ndarray], weights: dict[str, Node],
 
 @dataclass
 class Prefix:
-    """One image's work that no sampling setting changes: the tokens entering
-    block `stage` (the first sampling stage, or depth without one) and, at a
-    sampling stage, that block's attention state. Nothing in it depends on
-    k, policy, scoring or the Rng, so every sampled config with the same
-    first stage can branch from it.
+    """One image's work that no sampling setting changes: the tokens leaving
+    block `stage`, the first sampling stage (or the final tokens, stage =
+    depth, without one), and at a sampling stage that block's attention
+    matrices `attn` and values `v`, plain arrays that only the sampler reads.
+    Soft downsampling keeps each retained row's whole attention row, so a
+    sampled block's output rows are the unsampled block's rows at the kept
+    indices, whatever else is kept: the prefix runs that block whole. Nothing
+    in it depends on k, policy, scoring or the Rng, so every sampled config
+    with the same first stage can branch from it.
 
-    Image b of a stacked pass gets leaves over the views value[b] of the
-    pass's (images, ...) arrays, and `stacked` holds the pass's own prefix;
-    backward_prefix carries the gradients the views receive on into it."""
+    Image b of a stacked pass gets a leaf over the view tokens.value[b] of
+    the pass's (images, T, d) tokens and views of its attention and values,
+    and `stacked` holds the pass's own prefix; backward_prefix carries the
+    gradients the token views receive on into it."""
     stage: int
     tokens: Node
-    state: AttentionState | None
+    attn: np.ndarray | None = None
+    v: np.ndarray | None = None
     stacked: Prefix | None = field(default=None, repr=False)
-
-    def nodes(self) -> list[Node]:
-        """The tokens, then at a sampling stage the attention and values."""
-        return [self.tokens] + ([] if self.state is None
-                                else [self.state.attn, self.state.v])
 
 
 def first_stage(cfg: ModelConfig) -> int:
@@ -241,51 +242,44 @@ def _mlp_residual(tokens: Node, weights: dict[str, Node], p: str) -> Node:
 
 def forward_prefix(images: Sequence[np.ndarray], cfg: ModelConfig,
                    weights: dict[str, Node]) -> list[Prefix]:
-    """Patch embedding, every block before the first sampling stage, and that
-    stage's LN1, QKV projection and attention matrix, for all images in one
-    stacked pass. Draws no random words.
+    """Patch embedding and every block up to and including the first
+    sampling stage, each over all T rows, for all images in one stacked
+    pass. Draws no random words.
 
     One image gets the pass's own nodes, so its backward walks the whole
-    pass. Several run as (images, ...) arrays, and image b gets leaves over
-    their views value[b]; recorded, their gradients reach the weights
+    pass. Several run as (images, ...) arrays, and image b gets a leaf over
+    the view tokens.value[b]; recorded, its gradient reaches the weights
     through backward_prefix, once every image's own backward has run."""
     n = len(images)
     stage = first_stage(cfg)
     tokens = patch_embed(images, weights, cfg)
-    for i in range(stage):
+    for i in range(min(stage + 1, cfg.depth)):
         p = f"block{i}."
         state = _attention_state(tokens, weights, p, cfg.heads)
         tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
                                        weights[p + "out.b"]))
         tokens = _mlp_residual(tokens, weights, p)
-    state = (_attention_state(tokens, weights, f"block{stage}.", cfg.heads)
-             if stage < cfg.depth else None)
-    whole = Prefix(stage=stage, tokens=tokens, state=state)
+    attn, v = ((state.attn.value, state.v.value) if stage < cfg.depth
+               else (None, None))
+    whole = Prefix(stage=stage, tokens=tokens, attn=attn, v=v)
     if n == 1:
         return [whole]
-
-    def per_image(node: Node) -> list[Node]:
-        return [Node(value) for value in node.value]
-
-    states = ([None] * n if state is None else
-              [AttentionState(a, v) for a, v in zip(per_image(state.attn),
-                                                    per_image(state.v))])
-    return [Prefix(stage=stage, tokens=x, state=s, stacked=whole)
-            for x, s in zip(per_image(tokens), states)]
+    return [Prefix(stage=stage, tokens=Node(tokens.value[b]),
+                   attn=None if attn is None else attn[b],
+                   v=None if v is None else v[b], stacked=whole)
+            for b in range(n)]
 
 
 def backward_prefix(prefixes: Sequence[Prefix]) -> None:
     """Finish the backward walk of one recorded forward_prefix call, after
     each image's own backward has reached its prefix: one walk from the
-    stacked tokens, attention and value nodes, each seeded with the stack of
-    what its per-image views received. A prefix of one image is its pass's
-    own nodes, which the image's backward has walked already."""
+    stacked tokens, seeded with the stack of what the per-image views
+    received. A prefix of one image is its pass's own nodes, which the
+    image's backward has walked already."""
     whole = prefixes[0].stacked
     if whole is None:
         return
-    views = zip(*(p.nodes() for p in prefixes))
-    ag.backward({root: np.stack([v.grad for v in per_image])
-                 for root, per_image in zip(whole.nodes(), views)})
+    ag.backward({whole.tokens: np.stack([p.tokens.grad for p in prefixes])})
 
 
 def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
@@ -295,7 +289,9 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
     rng is only consumed by the random-token scoring variant and the random
     sampling policy; the default configuration is fully deterministic.
     prefix, from forward_prefix on the same image, weights and first sampling
-    stage, skips that work; without it the pass builds its own.
+    stage, skips that work; without it the pass builds its own. The first
+    sampling stage keeps its rows of the prefix's tokens; every later one
+    attends with the kept rows of its attention (sampled_attend).
     """
     if prefix is None:
         prefix, = forward_prefix([image], cfg, weights)
@@ -308,20 +304,27 @@ def forward(image: np.ndarray, cfg: ModelConfig, weights: dict[str, Node],
     alive: dict[int, tuple[int, ...]] = {}
     ids = tuple(range(cfg.num_tokens))
 
-    for i in range(prefix.stage, cfg.depth):
+    def sample(i: int, attn: np.ndarray, v: np.ndarray) -> SampleResult:
+        nonlocal ids
+        sv = compute_scores(attn, v, cfg.scoring, rng)
+        result = sample_indices(sv, cfg.sampler, rng)
+        ids = tuple(ids[j] for j in result.kept)
+        samples[i], alive[i] = result, ids
+        return result
+
+    if prefix.attn is not None:
+        tokens = ag.gather_rows(tokens, sample(prefix.stage, prefix.attn,
+                                               prefix.v).kept)
+        stage_counts.append((cfg.num_tokens, tokens.shape[0]))
+    for i in range(prefix.stage + 1, cfg.depth):
         p = f"block{i}."
         t_in = tokens.shape[0]
-        state = (prefix.state if i == prefix.stage
-                 else _attention_state(tokens, weights, p, cfg.heads))
+        state = _attention_state(tokens, weights, p, cfg.heads)
         if i in cfg.ats_stages:
-            sv = compute_scores(state.attn.value, state.v.value, cfg.scoring, rng)
-            result = sample_indices(sv, cfg.sampler, rng)
+            result = sample(i, state.attn.value, state.v.value)
             attn_out = sampled_attend(state, result,
                                       weights[p + "out.w"], weights[p + "out.b"])
             tokens = ag.add(ag.gather_rows(tokens, result.kept), attn_out)
-            ids = tuple(ids[j] for j in result.kept)
-            samples[i] = result
-            alive[i] = ids
         else:
             tokens = ag.add(tokens, attend(state, weights[p + "out.w"],
                                            weights[p + "out.b"]))

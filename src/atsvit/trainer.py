@@ -142,11 +142,12 @@ def _chunks(n: int) -> Iterator[range]:
 
 class PrefixCache:
     """Each image's forward_prefix, shared by every evaluate call of one
-    sweep and filled one chunk of images at a time. Keyed by image index and
-    first sampling stage, and bound to the architecture, the weight values
-    and the sample list it is filled from, since a prefix holds their
-    results. 13,328 bytes per image at the default architecture (float32
-    tokens, attention and values)."""
+    sweep and filled one chunk of images at a time, so the blocks up to and
+    including the first sampling stage run once per image and stage. Keyed
+    by image index and first sampling stage, and bound to the architecture,
+    the weight values and the sample list it is filled from, since a prefix
+    holds their results. 13,328 bytes per image at the default architecture
+    (float32 tokens, attention and values)."""
 
     def __init__(self, cfg: ModelConfig, weights: dict[str, Node],
                  samples: list[ShapeSample]):

@@ -97,6 +97,20 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: batch size")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    def test_negative_epochs_fails_before_data(self, trained, tmp_path, capsys,
+                                              monkeypatch, command):
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        monkeypatch.setattr("atsvit.cli.init_weights", no_weights)
+        out = tmp_path / "m.atsw"
+        source = ["--weights", trained] if command == "finetune" else []
+        rc = main([command, "--out", str(out), "--epochs", "-1", "--quiet"]
+                  + source + DATA)
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == "error: --epochs must be non-negative, got -1\n")
+        assert not any(tmp_path.iterdir())
+
 
 class TestEval:
     def test_json_schema_and_determinism(self, trained, tmp_path):
@@ -526,6 +540,19 @@ class TestMasks:
                    "--count", "-1"] + DATA)
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: --count")
+        assert not out.exists()
+
+    def test_count_above_n_val_fails_before_any_image(self, trained, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        monkeypatch.setattr("atsvit.cli.forward", no_data)
+        out = tmp_path / "masks_short"
+        rc = main(["masks", "--weights", trained, "--out-dir", str(out),
+                   "--ats-stages", "1", "--k", "4"] + DATA
+                  + ["--count", "10", "--n-val", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --count 10") and "--n-val 3" in err
         assert not out.exists()
 
     def test_external_pgm_input(self, trained, tmp_path):

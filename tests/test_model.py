@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from atsvit import autograd as ag
+from atsvit import model as model_mod
 from atsvit import numerics
+from atsvit.attention import AttentionState, attend
+from atsvit.autograd import Node
 from atsvit.container import BadMagicError, TruncatedPayloadError
 from atsvit.model import (ModelConfig, ShapeMismatchError, extract_patches,
                           forward, forward_prefix, init_weights, load_weights,
                           patch_embed, save_weights)
 from atsvit.numerics import Rng, softmax_rows
-from atsvit.sampling import Policy, Scoring, sample_indices
+from atsvit.sampling import (Policy, SampleResult, Scoring, sample_indices,
+                             sampled_attend)
 
 TINY = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, depth=2,
                    mlp_ratio=2, num_classes=3)
@@ -200,6 +204,76 @@ class TestForward:
             assert set(trace.alive[s]) <= set(previous)
             assert trace.alive[s][0] == 0
             previous = trace.alive[s]
+
+
+
+class TestFirstSamplingBlockInThePrefix:
+    """forward_prefix runs the first sampling block over every row, and
+    forward keeps the kept rows of its output. That rests on soft
+    downsampling: a kept row keeps its whole attention row, so its output
+    does not depend on which other rows are kept."""
+    KEPT = {"one": (0, 7),
+            "middle": (0, 1, 3, 4, 8, 9, 12, 15, 16),
+            "all": tuple(range(17))}
+
+    @staticmethod
+    def block(heads: int):
+        """Block 0 of the default width under `heads` heads, with every
+        weight, bias and gain drawn at random, in float32."""
+        cfg = ModelConfig(heads=heads)
+        rng = Rng(40 + heads)
+        w = {name: ag.leaf((node.value + rng.normal(node.shape, std=0.2))
+                           .astype(np.float32))
+             for name, node in init_weights(cfg, rng).items()}
+        return cfg, w
+
+    @pytest.mark.parametrize("images", [1, 3], ids=["one", "stack"])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_sampled_rows_equal_the_unsampled_rows(self, heads, images):
+        cfg, w = self.block(heads)
+        p = "block0."
+        pics = [Rng(9, stream=b).uniform((32, 32, 1)) for b in range(images)]
+        with ag.no_grad():
+            tokens = patch_embed(pics, w, cfg)
+            state = model_mod._attention_state(tokens, w, p, heads)
+            unsampled = model_mod._mlp_residual(
+                ag.add(tokens, attend(state, w[p + "out.w"], w[p + "out.b"])),
+                w, p).value
+            for b in range(images):
+                x, a, v, out = ((tokens, state.attn, state.v, unsampled)
+                                if images == 1 else
+                                (Node(tokens.value[b]),
+                                 Node(state.attn.value[b]),
+                                 Node(state.v.value[b]), unsampled[b]))
+                assert out.dtype == np.float32
+                for name, kept in self.KEPT.items():
+                    result = SampleResult(kept=kept, psi=kept[1:])
+                    sampled = model_mod._mlp_residual(ag.add(
+                        ag.gather_rows(x, kept),
+                        sampled_attend(AttentionState(a, v), result,
+                                       w[p + "out.w"], w[p + "out.b"])), w, p)
+                    assert (sampled.value.tobytes()
+                            == out[list(kept)].tobytes()), (name, b)
+
+    def test_forward_from_a_prefix_skips_the_first_sampling_block(
+            self, monkeypatch):
+        """With stages 2-5, the tail attends with sampled rows and runs an
+        MLP only at blocks 3, 4 and 5."""
+        cfg = ModelConfig().with_sampling((2, 3, 4, 5), k=8)
+        w = init_weights(cfg, Rng(2), dtype=np.float32)
+        image = Rng(9).uniform((32, 32, 1))
+        calls = []
+        for module, name in ((model_mod, "sampled_attend"), (ag, "gelu")):
+            monkeypatch.setattr(module, name, lambda *a, _n=name,
+                                _f=getattr(module, name):
+                                calls.append(_n) or _f(*a))
+        with ag.no_grad():
+            prefix, = forward_prefix([image], cfg, w)
+            assert calls == ["gelu"] * 3  # blocks 0, 1 and 2, all rows
+            calls.clear()
+            trace = forward(image, cfg, w, prefix=prefix)
+        assert sorted(calls) == ["gelu"] * 3 + ["sampled_attend"] * 3
+        assert sorted(trace.samples) == [2, 3, 4, 5]
 
 
 NO_GRAD_CASES = [None] + [(policy, scoring)

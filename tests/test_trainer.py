@@ -280,11 +280,16 @@ class TestChunkedEvaluate:
     @staticmethod
     def configs(cfg):
         """Unsampled, inverse cls-vnorm at k = 16 and 1, and the random
-        policy, which draws from the Rng."""
+        policy, which draws from the Rng; then first stages at block 0 and
+        at the last block, whose prefix holds that block whole."""
         yield cfg
         for k in (16, 1):
             yield cfg.with_sampling((2, 3, 4, 5), k=k)
         yield cfg.with_sampling((2, 3, 4, 5), k=8, policy=Policy.RANDOM)
+        yield cfg.with_sampling((0,), k=4)
+        yield cfg.with_sampling((5,), k=8, policy=Policy.RANDOM,
+                                scoring=Scoring.RANDOM_TOKEN)
+        yield cfg.with_sampling((0, 5), k=6, policy=Policy.TOPK)
 
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1])
     def test_matches_standalone_forward(self, stored, monkeypatch, n):
@@ -319,7 +324,7 @@ class TestChunkedEvaluate:
             assert_same_result(evaluate(cfg, w, val_set, seed=5, prefixes=cache),
                                evaluate(cfg, w, val_set, seed=5))
         assert sorted(cache.prefixes) == [(i, s) for i in range(CHUNK + 1)
-                                          for s in (2, base.depth)]
+                                          for s in (0, 2, 5, base.depth)]
 
     def test_recorded_stacked_prefix_gives_per_image_grads(self, stored):
         """Recorded, a stacked prefix and backward_prefix give every leaf the
@@ -358,7 +363,8 @@ class TestChunkedTrain:
     def configs(cfg):
         """Unsampled, inverse cls-vnorm at k = 8 on stages 2-5, a first stage
         at block 0, top-k rowsum, and the random policy with random-token
-        scoring, which draw from the Rng."""
+        scoring, which draw from the Rng; then first stages at block 0 and
+        at the last block alone, and at both."""
         yield cfg
         yield cfg.with_sampling((2, 3, 4, 5), k=8)
         yield cfg.with_sampling((0, 2), k=8)
@@ -366,6 +372,9 @@ class TestChunkedTrain:
                                 scoring=Scoring.ROWSUM)
         yield cfg.with_sampling((2, 3, 4, 5), k=8, policy=Policy.RANDOM,
                                 scoring=Scoring.RANDOM_TOKEN)
+        yield cfg.with_sampling((0,), k=4)
+        yield cfg.with_sampling((5,), k=8, policy=Policy.RANDOM)
+        yield cfg.with_sampling((0, 5), k=6, scoring=Scoring.RANDOM_TOKEN)
 
     @pytest.mark.parametrize("n", [1, TRAIN_CHUNK - 1, TRAIN_CHUNK + 1,
                                    2 * TRAIN_CHUNK + 1])
@@ -439,8 +448,9 @@ class TestChunkSizeInvariance:
 
 
 class TestPrefixCache:
-    """Sweeps share each image's prefix (everything before the first sampling
-    stage, plus that stage's attention) across configs."""
+    """Sweeps share each image's prefix (every block up to and including the
+    first sampling stage, and that stage's attention and values) across
+    configs."""
     SIX = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2, depth=6,
                       mlp_ratio=2, num_classes=4)
 
@@ -450,7 +460,7 @@ class TestPrefixCache:
         return init_weights(self.SIX, Rng(11), dtype=np.float32), val_set[:4]
 
     def configs(self):
-        for stages in ((2, 3, 4, 5), (1, 3)):
+        for stages in ((2, 3, 4, 5), (1, 3), (0,), (5,), (0, 5)):
             for policy in Policy:
                 for scoring in Scoring:
                     for k in (1, 8, 16):
@@ -468,7 +478,8 @@ class TestPrefixCache:
             assert np.array_equal(cached.macs, plain.macs), cfg.runtime_dict()
             for stage in cfg.ats_stages:
                 assert np.array_equal(cached.kprime[stage], plain.kprime[stage])
-        assert sorted(cache.prefixes) == [(i, s) for i in range(4) for s in (1, 2)]
+        assert sorted(cache.prefixes) == [(i, s) for i in range(4)
+                                          for s in (0, 1, 2, 5)]
 
     def test_forward_with_prefix_is_byte_equal(self, setup):
         """The prefix draws no random words: a pass that starts from it hands
