@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from atsvit import numerics
 from atsvit.attention import AttentionState, attend
 from atsvit.autograd import Node
 from atsvit.container import BadMagicError, TruncatedPayloadError
-from atsvit.model import (ModelConfig, ShapeMismatchError, extract_patches,
-                          forward, forward_prefix, init_weights, load_weights,
-                          patch_embed, save_weights)
+from atsvit.model import (ModelConfig, ShapeMismatchError, as_nodes,
+                          extract_patches, forward, forward_prefix,
+                          init_weights, load_weights, patch_embed,
+                          save_weights)
 from atsvit.numerics import Rng, softmax_rows
 from atsvit.sampling import (Policy, SampleResult, Scoring, sample_indices,
                              sampled_attend)
 
+STORED = (Path(__file__).resolve().parent.parent / "perfbench" / "weights"
+          / "baseline.atsw")
 TINY = ModelConfig(image_size=16, patch_size=8, dim=8, heads=2, depth=2,
                    mlp_ratio=2, num_classes=3)
 
@@ -254,6 +258,48 @@ class TestFirstSamplingBlockInThePrefix:
                                        w[p + "out.w"], w[p + "out.b"])), w, p)
                     assert (sampled.value.tobytes()
                             == out[list(kept)].tobytes()), (name, b)
+
+    @staticmethod
+    def sampled_pass(image, cfg, w, samples):
+        """The logits of a pass that runs every sampling block the sampled
+        way, with sampled_attend and an MLP over the kept rows only."""
+        tokens = patch_embed([image], w, cfg)
+        for i in range(cfg.depth):
+            p = f"block{i}."
+            state = model_mod._attention_state(tokens, w, p, cfg.heads)
+            out_w, out_b = w[p + "out.w"], w[p + "out.b"]
+            tokens = (ag.add(ag.gather_rows(tokens, samples[i].kept),
+                             sampled_attend(state, samples[i], out_w, out_b))
+                      if i in samples else
+                      ag.add(tokens, attend(state, out_w, out_b)))
+            tokens = model_mod._mlp_residual(tokens, w, p)
+        final = ag.gather_rows(
+            ag.layer_norm(tokens, w["norm.g"], w["norm.b"]), (0,))
+        return ag.add_row(ag.matmul(final, w["head.w"]), w["head.b"])
+
+    @pytest.mark.parametrize("stages,flags", [
+        ((0,), {"k": 4}),
+        ((2, 3, 4, 5), {"k": 8}),
+        ((5,), {"k": 8, "policy": Policy.RANDOM}),
+        ((0, 5), {"k": 6, "scoring": Scoring.RANDOM_TOKEN}),
+        ((1, 3), {"k": 8, "policy": Policy.TOPK, "scoring": Scoring.ROWSUM}),
+    ])
+    def test_forward_matches_a_pass_that_samples_every_block(self, stages,
+                                                              flags):
+        """Recorded, in float32 on the stored weights: the logits and every
+        weight's gradient keep their bytes."""
+        arch, tensors = load_weights(str(STORED))
+        cfg = arch.with_sampling(stages, **flags)
+        for i in range(3):
+            image = Rng(9, stream=i).uniform((32, 32, 1))
+            w, ref_w = as_nodes(tensors), as_nodes(tensors)
+            trace = forward(image, cfg, w, rng=Rng(3, stream=i))
+            ag.backward(ag.cross_entropy(trace.logits_node, i))
+            ref = self.sampled_pass(image, cfg, ref_w, trace.samples)
+            ag.backward(ag.cross_entropy(ref, i))
+            assert trace.logits_node.value.tobytes() == ref.value.tobytes()
+            for name in tensors:
+                assert w[name].grad.tobytes() == ref_w[name].grad.tobytes(), name
 
     def test_forward_from_a_prefix_skips_the_first_sampling_block(
             self, monkeypatch):
