@@ -2,9 +2,10 @@
 """Byte-identity check for the CLI: run a fixed recipe of train, finetune,
 eval, sweep and masks commands in process, then print one
 `sha256  relative-path` line per artifact written under OUT_DIR. The recipe
-runs the default architecture (4 heads) and a 2-head one. It also writes the
-raw bytes of `dataset.generate` under OUT_DIR/data: for three manifests and
-each split, the images, labels and clutter levels.
+runs the default architecture (4 heads) and a 2-head one, and masks two PGMs
+that an earlier masks command wrote, so the PGM reader is checked too. It
+also writes the raw bytes of `dataset.generate` under OUT_DIR/data: for
+three manifests and each split, the images, labels and clutter levels.
 
 Run it on two checkouts and diff the output; a refactor that keeps the
 CLI's behaviour prints identical lines. The only input read from the
@@ -97,6 +98,11 @@ def run(out: Path) -> None:
            + SWEEP_SCORINGS + DATA)
         sh(["masks", "--weights", weights, "--out-dir", str(out / f"{tag}_masks"),
             "--ats-stages", STAGES, "--k", "8", "--count", "6"] + DATA)
+    # The PGM input path: two images the stored weights' masks leg wrote.
+    sh(["masks", "--weights", str(out / "ft_inverse.atsw"),
+        "--out-dir", str(out / "pgm_masks"), "--ats-stages", "1,3", "--k", "6",
+        "--images", str(out / "stored_masks" / "img001.pgm"),
+        str(out / "stored_masks" / "img004.pgm")] + DATA)
 
     config = out / "heads2.json"
     config.write_text(json.dumps({"heads": 2}))

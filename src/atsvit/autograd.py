@@ -1,16 +1,19 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-A Node is an eagerly computed value plus, once it is in a graph, its Vertex.
-A vertex keeps no value: it holds its parents as (Vertex, vjp) pairs, a
-unique creation index from one process-wide counter and, for a leaf, the
-gradient. A vjp keeps only the arrays its gradient formula reads, as they
-were when the op ran (matmul its operands, softmax_rows its output,
+A Node is an eagerly computed value. Only the result of a recorded op also
+gets a Vertex, which keeps no value: it holds the op's parents as (edge,
+vjp) pairs and a unique creation index from one process-wide counter. An
+edge is a parent's vertex or, for a leaf (a node without a vertex), the
+leaf Node itself; every leaf the program records against is held by its
+owner (the weights dict, a chunk's prefixes) for as long as the graph
+lives anyway. A vjp keeps only the arrays its gradient formula reads, as
+they were when the op ran (matmul its operands, softmax_rows its output,
 layer_norm its normalized rows, gelu its derivative), so a value nothing
 reads is freed with its node, during the forward. A parent always exists
-before its child, so reverse creation order is a reverse topological order:
-backward() pops vertices from a heap keyed on that index and never sorts
-the graph. Only leaves (nodes without parents) keep a gradient: they
-allocate .grad lazily as zeros and add each contribution with += as it
+before its child, so reverse creation order is a reverse topological
+order: backward() pops vertices from a heap keyed on that index and never
+sorts the graph. Only leaves keep a gradient, in their .grad: it is
+allocated lazily as zeros and each contribution is added with += as it
 arrives, so a fresh pass requires explicit zeroing (zero_grads).
 Intermediate gradients live only for the duration of one backward() call.
 
@@ -34,8 +37,7 @@ reported by the next computing op.
 
 Inside no_grad() nothing is recorded: every op computes its value with the
 same numpy calls and the same check, but builds no vjp closures and returns
-a Node with no vertex, so an inference pass allocates no graph. A leaf gets
-its vertex only when a recorded op or a gradient first needs it.
+a Node with no vertex, so an inference pass allocates no graph.
 Recording is one process-wide flag, on by default; the tape is not meant to
 be driven from more than one thread at a time.
 """
@@ -57,38 +59,29 @@ _creation = itertools.count()
 
 
 class Vertex:
-    """A node's place in the graph: its parents as (Vertex, vjp) pairs, its
-    unique creation index (heap entries never compare vertices) and, for a
-    leaf, the gradient it has accumulated. It holds no value."""
-    __slots__ = ("parents", "seq", "grad")
+    """A recorded op's place in the graph: its parents as (edge, vjp) pairs,
+    where an edge is a parent's vertex or a leaf Node, and its unique
+    creation index (heap entries never compare vertices). It holds no
+    value."""
+    __slots__ = ("parents", "seq")
 
     def __init__(self, parents: tuple):
         self.parents = parents
         self.seq = next(_creation)
-        self.grad: np.ndarray | None = None
-
-
-class _LeafVertex(Vertex):
-    """A leaf's vertex also knows the shape and dtype of its gradient, so it
-    need not keep the value, which an optimizer step replaces."""
-    __slots__ = ("shape", "dtype")
-
-    def __init__(self, value: np.ndarray):
-        super().__init__(())
-        self.shape, self.dtype = value.shape, value.dtype
 
 
 class Node:
-    """A value, and its vertex once it has one: a recorded op's result gets
-    one at once, a leaf only when an edge or a gradient first needs it."""
-    __slots__ = ("value", "vertex")
+    """A value, and its vertex if a recorded op made it. A node without a
+    vertex is a leaf: edges point at the node itself, and its .grad
+    accumulates the gradients that reach it."""
+    __slots__ = ("value", "vertex", "grad")
 
     def __init__(self, value: np.ndarray, parents=()):
         # parents: (Node, vjp) pairs, or False when not recording
         self.value = value
-        self.vertex = (Vertex(tuple([(p.vertex or _vertex(p), vjp)
-                                     for p, vjp in parents]))
+        self.vertex = (Vertex(tuple([(p.vertex or p, vjp) for p, vjp in parents]))
                        if parents else None)
+        self.grad: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -98,23 +91,8 @@ class Node:
     def parents(self) -> tuple:
         return () if self.vertex is None else self.vertex.parents
 
-    @property
-    def grad(self) -> np.ndarray | None:
-        return None if self.vertex is None else self.vertex.grad
-
-    @grad.setter
-    def grad(self, g: np.ndarray | None) -> None:
-        _vertex(self).grad = g
-
     def __repr__(self):
         return f"Node(shape={self.value.shape}, leaf={not self.parents})"
-
-
-def _vertex(node: Node) -> Vertex:
-    """node's vertex, made for a leaf the first time it is needed."""
-    if node.vertex is None:
-        node.vertex = _LeafVertex(node.value)
-    return node.vertex
 
 
 _recording = True
@@ -332,12 +310,12 @@ def cross_entropy(logits: Node, label: int) -> Node:
             _cross_entropy_vjp(g, shifted, lse, label, shape)),))
 
 
-def _accumulate(leaf: _LeafVertex, g: np.ndarray) -> None:
+def _accumulate(leaf: Node, g: np.ndarray) -> None:
     """Add one contribution to a leaf's .grad; a per-image stack (one more
     axis than the leaf) is added one image at a time, in image order."""
     if leaf.grad is None:
-        leaf.grad = np.zeros(leaf.shape, leaf.dtype)
-    if g.ndim > len(leaf.shape):
+        leaf.grad = np.zeros(leaf.value.shape, leaf.value.dtype)
+    if g.ndim > leaf.grad.ndim:
         for image in g:
             leaf.grad += image
     else:
@@ -362,12 +340,12 @@ def backward(roots: Node | dict[Node, np.ndarray]) -> None:
     pending: dict[Vertex, np.ndarray] = {}
     heap: list[tuple[int, Vertex]] = []
     for root, g in roots.items():
-        vertex = _vertex(root)
-        if vertex.parents:
+        vertex = root.vertex
+        if vertex is None:
+            _accumulate(root, g)
+        else:
             pending[vertex] = g
             heap.append((-vertex.seq, vertex))
-        else:
-            _accumulate(vertex, g)
     heapq.heapify(heap)
     while heap:
         vertex = heapq.heappop(heap)[1]

@@ -42,10 +42,11 @@ from .trainer import (EvalResult, PrefixCache, TrainingDiverged, eval_rng,
 
 
 def _parse_stages(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+    """The --ats-stages block indices, sorted and unique; empty text means
+    no sampling stages."""
+    if not text.strip():
         return ()
-    return tuple(sorted({int(t) for t in text.split(",")}))
+    return tuple(sorted(set(_parse_list("--ats-stages", text, int))))
 
 
 def _parse_list(flag: str, text: str, parse) -> list:
@@ -312,10 +313,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_masks(args) -> int:
-    if args.count < 0:
-        raise ValueError(f"--count must be non-negative, got {args.count}")
-    if not args.images and args.count > args.n_val:
-        raise ValueError(f"--count {args.count} exceeds --n-val {args.n_val}, "
+    if args.images and args.count is not None:
+        raise ValueError("--count applies only to generated images, "
+                         "not to --images")
+    count = 8 if args.count is None else args.count
+    if count < 0:
+        raise ValueError(f"--count must be non-negative, got {count}")
+    if not args.images and count > args.n_val:
+        raise ValueError(f"--count {count} exceeds --n-val {args.n_val}, "
                          f"the number of validation images")
     # Masks computes no loss, and its images may be PGMs of any size.
     cfg, weights = _load_model(args, fit_data=False)
@@ -323,7 +328,7 @@ def cmd_masks(args) -> int:
         images = [load_pgm(p) for p in args.images]
     else:
         _, val_set = generate(_manifest(args), train=False)
-        images = [s.image for s in val_set[:args.count]]
+        images = [s.image for s in val_set[:count]]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -425,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--images", nargs="*", default=None,
                    help="PGM inputs; defaults to generated validation images")
-    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--count", type=int, default=None,
+                   help="generated validation images to mask (default 8)")
     _add_model_flags(p)
     _add_sampler_flags(p)
     _add_data_flags(p)

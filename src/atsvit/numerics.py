@@ -136,14 +136,12 @@ class Rng:
         out = z * std
         return out.reshape(shape) if shape else out[0]
 
-    def integers(self, low: int, high: int, size: int | None = None) -> np.ndarray | int:
-        """Integers in [low, high). Modulo reduction; bias is negligible for
+    def integers(self, low: int, high: int) -> int:
+        """An integer in [low, high). Modulo reduction; bias is negligible for
         the small ranges used here."""
         if high <= low:
             raise ValueError("empty integer range")
-        if size is None:
-            return int(low) + self._word() % int(high - low)
-        return low + (self._raw(size) % np.uint64(high - low)).astype(np.int64)
+        return int(low) + self._word() % int(high - low)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""

@@ -214,6 +214,32 @@ class TestNoGrad:
             bare = _every_op(*args)
         assert all(n.vertex is None for n in (*args, *bare))
 
+    def test_a_leaf_never_gets_a_vertex(self):
+        """A leaf keeps its own gradient: recording against it, backward
+        into it and zero_grads leave it without a vertex, and a node made
+        under no_grad is read by a recorded op as a leaf."""
+        rng = Rng(3)
+        x0, w0, g = rng.normal((5, 4)), rng.normal((4, 3)), rng.normal((5, 3))
+        x, w = ag.leaf(x0), ag.leaf(w0)
+        y = ag.matmul(x, w)
+        assert [edge for edge, _ in y.parents] == [x, w]
+        ag.backward({y: g})
+        assert x.vertex is None and w.vertex is None
+        assert x.grad.tobytes() == (g @ w0.T).tobytes()
+        assert w.grad.tobytes() == (x0.T @ g).tobytes()
+        ag.zero_grads({"x": x, "w": w})
+        assert x.grad is None and w.grad is None
+        assert x.vertex is None and w.vertex is None
+
+        with ag.no_grad():
+            h = ag.gelu(x)
+        out = ag.matmul(h, w)
+        assert h.vertex is None and [e for e, _ in out.parents] == [h, w]
+        ag.backward({out: g})
+        assert h.vertex is None
+        assert h.grad.tobytes() == (g @ w0.T).tobytes()
+        assert w.grad.tobytes() == (h.value.T @ g).tobytes()
+
 
 class TestTapeMemory:
     """A recorded graph keeps only the arrays its vjps read, as they were

@@ -468,6 +468,31 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("command,extra", [
+    ("train", ["--out", "w.atsw"]), ("eval", ["--out", "e.json"]),
+    ("sweep", ["--out", "s.csv"]), ("masks", ["--out-dir", "masks"])])
+@pytest.mark.parametrize("value,message", [
+    ("a", "--ats-stages: invalid literal for int() with base 10: 'a'"),
+    ("1,x", "--ats-stages: invalid literal for int() with base 10: 'x'"),
+    (",", "--ats-stages needs at least one value, got ','")])
+def test_bad_ats_stages_names_the_flag(trained, tmp_path, capsys, monkeypatch,
+                                       command, extra, value, message):
+    monkeypatch.setattr("atsvit.cli.generate", no_data)
+    monkeypatch.chdir(tmp_path)
+    weights = [] if command == "train" else ["--weights", trained]
+    rc = main([command, f"--ats-stages={value}", "--quiet"]
+              + weights + extra + DATA)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text,stages", [
+    ("", ()), ("  ", ()), ("2,", (2,)), (" 3, 1,3 ", (1, 3)), ("0,,2", (0, 2))])
+def test_ats_stages_parse_like_the_row_flags(text, stages):
+    assert cli._parse_stages(text) == stages
+
+
+@pytest.mark.parametrize("command,extra", [
     ("finetune", ["--out", "ft.atsw"]), ("eval", ["--out", "e.json"]),
     ("sweep", ["--out", "s.csv"]), ("masks", ["--out-dir", "masks"])])
 def test_config_on_weight_loading_command_is_a_usage_error(
@@ -554,6 +579,26 @@ class TestMasks:
         err = capsys.readouterr().err
         assert err.startswith("error: --count 10") and "--n-val 3" in err
         assert not out.exists()
+
+    def test_count_with_images_fails_before_any_image(self, trained, tmp_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.setattr("atsvit.cli.load_pgm", no_data)
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        out = tmp_path / "masks_count"
+        rc = main(["masks", "--weights", trained, "--out-dir", str(out),
+                   "--ats-stages", "1", "--k", "4", "--images", "a.pgm",
+                   "--count", "5"] + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --count applies only to generated images, not to --images\n")
+        assert not out.exists()
+
+    def test_default_count_is_eight_generated_images(self, trained, tmp_path):
+        out = tmp_path / "masks_default"
+        assert main(["masks", "--weights", trained, "--out-dir", str(out)]
+                    + DATA) == 0
+        assert sorted(p.name for p in out.glob("img*.json")) == [
+            f"img{i:03d}.json" for i in range(8)]
 
     def test_external_pgm_input(self, trained, tmp_path):
         from atsvit.dataset import save_pgm
