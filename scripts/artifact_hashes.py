@@ -2,8 +2,9 @@
 """Byte-identity check for the CLI: run a fixed recipe of train, finetune,
 eval, sweep and masks commands in process, then print one
 `sha256  relative-path` line per artifact written under OUT_DIR. The recipe
-runs the default architecture (4 heads) and a 2-head one, and masks two PGMs
-that an earlier masks command wrote, so the PGM reader is checked too. It
+runs the default architecture (4 heads) and a 2-head one, masks two PGMs
+that an earlier masks command wrote, so the PGM reader is checked too, and
+ends with a masks command that takes its image count from --n-val. It
 also writes the raw bytes of `dataset.generate` under OUT_DIR/data: for
 three manifests and each split, the images, labels and clutter levels.
 
@@ -113,6 +114,9 @@ def run(out: Path) -> None:
     sh(["sweep", "--weights", heads2, "--out", str(out / "heads2_nearest.csv"),
         "--ats-stages", STAGES, "--budgets", "1,4,8,16",
         "--inverse-rule", "nearest"] + SWEEP_SCORINGS + DATA)
+    # Without --count, masks draws min(8, --n-val) generated images.
+    sh(["masks", "--weights", str(STORED), "--out-dir", str(out / "nval3_masks"),
+        "--ats-stages", STAGES, "--k", "8"] + DATA + ["--n-val", "3"])
 
 
 def main() -> None:

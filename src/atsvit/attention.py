@@ -10,9 +10,10 @@ q/k/v column blocks, in that order.
 
 Several images of T tokens each can run as one pass: their tokens are a
 (images, T, d) array and their heads (images, heads, T, head_dim) stacks,
-image b owning index b of the leading axis. Every product is then the same
-per-matrix or per-row product a single image gets, and the gradients of the
-shared weights come back one image at a time (see autograd).
+image b owning index b of the leading axis. numpy runs one product per
+matrix of a stack, so each image's products are, byte for byte, the ones a
+single image gets, and the gradients of the shared weights come back one
+image at a time (see autograd).
 """
 
 from __future__ import annotations

@@ -21,13 +21,15 @@ Several images can share one pass: their arrays gain a leading image axis,
 tokens (images, T, d) and head stacks (images, heads, T, hd), while a single
 image keeps its (T, d) and (heads, T, hd) arrays. Every op works on the
 trailing axes, so it reads the image count from its operand's shape. A
-weight shared by the images (matmul's 2-D b, add_row's row, layer_norm's
-gamma and beta) then gets a stack of one gradient per image, and a leaf adds
-a stack one image at a time, in image order, so its float sums run as if
-each image had had its own pass. tile_rows makes the image axis, giving each
-image its own copy of a leaf's rows. backward() also takes several seeded
-roots, so a walk can go on from the nodes of a stacked pass once every
-image's own graph has been walked back to views of them.
+product over a stack is numpy's one product per matrix, so each image's
+products, forward and backward, are the ones it gets alone. A weight shared
+by the images (matmul's 2-D b, add_row's row, layer_norm's gamma and beta)
+then gets a stack of one gradient per image, and a leaf adds a stack one
+image at a time, in image order, so its float sums run as if each image had
+had its own pass. tile_rows makes the image axis, giving each image its
+own copy of a leaf's rows. backward() also takes several seeded roots, so a
+walk can go on from the nodes of a stacked pass once every image's own graph
+has been walked back to views of them.
 
 Each op that computes values checks them for NaN and Inf, so an overflow
 names the op that made it. The copy ops (transpose, gather_rows, slice_cols,

@@ -191,9 +191,13 @@ def write_json(path: str, obj: dict) -> None:
         f.write("\n")
 
 
-def _check_epochs(args) -> None:
+def _check_train_flags(args) -> None:
+    """Checked before any weights are made or images rendered."""
     if args.epochs < 0:
         raise ValueError(f"--epochs must be non-negative, got {args.epochs}")
+    for flag, value in (("--lr", args.lr), ("--weight-decay", args.weight_decay)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{flag} must be finite and non-negative, got {value}")
 
 
 def _fit(cfg: ModelConfig, weights, args) -> int:
@@ -210,13 +214,13 @@ def _fit(cfg: ModelConfig, weights, args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_epochs(args)
+    _check_train_flags(args)
     cfg = _apply_runtime(_check_data_fit(_arch_config(args)), args)
     return _fit(cfg, init_weights(cfg, Rng(args.seed), dtype=FAST_DTYPE), args)
 
 
 def cmd_finetune(args) -> int:
-    _check_epochs(args)
+    _check_train_flags(args)
     return _fit(*_load_model(args), args)
 
 
@@ -313,21 +317,26 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_masks(args) -> int:
+    if args.images == []:
+        raise ValueError("--images needs at least one PGM path")
     if args.images and args.count is not None:
         raise ValueError("--count applies only to generated images, "
                          "not to --images")
-    count = 8 if args.count is None else args.count
-    if count < 0:
-        raise ValueError(f"--count must be non-negative, got {count}")
-    if not args.images and count > args.n_val:
-        raise ValueError(f"--count {count} exceeds --n-val {args.n_val}, "
-                         f"the number of validation images")
+    if not args.images:
+        # The manifest refuses an --n-val below 1 before --count is read.
+        manifest = _manifest(args)
+        count = min(8, args.n_val) if args.count is None else args.count
+        if count < 0:
+            raise ValueError(f"--count must be non-negative, got {count}")
+        if count > args.n_val:
+            raise ValueError(f"--count {count} exceeds --n-val {args.n_val}, "
+                             f"the number of validation images")
     # Masks computes no loss, and its images may be PGMs of any size.
     cfg, weights = _load_model(args, fit_data=False)
     if args.images:
         images = [load_pgm(p) for p in args.images]
     else:
-        _, val_set = generate(_manifest(args), train=False)
+        _, val_set = generate(manifest, train=False)
         images = [s.image for s in val_set[:count]]
 
     out_dir = Path(args.out_dir)
@@ -431,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", nargs="*", default=None,
                    help="PGM inputs; defaults to generated validation images")
     p.add_argument("--count", type=int, default=None,
-                   help="generated validation images to mask (default 8)")
+                   help="generated validation images to mask "
+                        "(default 8, or --n-val if fewer)")
     _add_model_flags(p)
     _add_sampler_flags(p)
     _add_data_flags(p)

@@ -31,15 +31,14 @@ def assert_finite(name: str, x: np.ndarray) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check. Operands of equal
-    ndim > 2 are stacks of matrices with equal leading dims, multiplied
-    pairwise (one product per head, say). A stack of images' rows
-    (images, m, k) times one (k, n) matrix is a single product of all their
-    rows, viewed as (images*m, k)."""
-    if a.ndim == 3 and b.ndim == 2 and a.shape[-1] == b.shape[0]:
-        return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], -1)
-    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
+    """Matrix product with an explicit shape check: a 2-D b shared by a
+    2-D a or a stack of images' rows (images, m, k), or operands of equal
+    ndim > 2 with equal leading dims (one product per head, say). numpy
+    runs one product per matrix of a stack, so each image's products are,
+    byte for byte, the ones it gets alone."""
+    shared = b.ndim == 2 and a.ndim in (2, 3)
+    paired = a.ndim == b.ndim > 2 and a.shape[:-2] == b.shape[:-2]
+    if not (shared or paired) or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     return a @ b
 

@@ -290,7 +290,12 @@ def train(cfg: ModelConfig, weights: dict[str, Node],
         train_loss = sum(tally.losses) / steps_per_epoch  # losses carry 1/batch
         train_ev = tally.result()
         rows.append(_metric_row(epoch, "train", train_loss, train_ev))
-        ev = evaluate(cfg, weights, val_set, seed=seed)
+        try:
+            ev = evaluate(cfg, weights, val_set, seed=seed)
+        except NonFiniteError as exc:
+            raise TrainingDiverged(
+                f"diverged at epoch {epoch}, in the validation pass: {exc}"
+            ) from exc
         rows.append(_metric_row(epoch, "val", ev.mean_loss, ev))
         if log:
             print(f"epoch {epoch:3d}  train loss {train_loss:.4f} "

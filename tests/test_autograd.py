@@ -462,33 +462,41 @@ class TestPerImageStacks:
         ag.backward({y: np.array([[1.0]], dtype=np.float32)})
         assert x.grad[0, 0] == (a + b) + c == 1.0
 
-    @pytest.mark.parametrize("shape", [(64, 64), (64, 192), (64, 256), (256, 64)])
-    def test_numerics_matmul_folds_images_onto_a_shared_matrix(self, shape):
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 192), (64, 256), (256, 64),
+                                       (64, 4)])
+    def test_numerics_matmul_is_each_images_own_product(self, shape):
         """(images, T, d) @ (d, e) is, byte for byte, each image's own
-        (T, d) @ (d, e)."""
+        (T, d) @ (d, e), also for the one-row products of the CLS head,
+        which a product of all images' rows folded into one (images*T, d)
+        matrix changes."""
         rng = Rng(53)
         w = rng.normal(shape, 0.1).astype(np.float32)
-        for images in (2, 3, 5, 9):
-            a = rng.normal((images, 17, shape[0])).astype(np.float32)
-            out = numerics.matmul(a, w)
-            assert out.shape == (images, 17, shape[1])
-            for b in range(images):
-                assert out[b].tobytes() == numerics.matmul(a[b], w).tobytes()
+        for rows in (1, 2, 17):
+            for images in (2, 3, 5, 9, 32):
+                a = rng.normal((images, rows, shape[0])).astype(np.float32)
+                out = numerics.matmul(a, w)
+                assert out.shape == (images, rows, shape[1])
+                for b in range(images):
+                    assert (out[b].tobytes()
+                            == numerics.matmul(a[b], w).tobytes()), (rows, images)
         for a, b in [((2, 3, 4), (5, 6)), ((2, 3, 4), (3, 4, 6))]:
             with pytest.raises(ValueError, match="matmul shape mismatch"):
                 numerics.matmul(np.ones(a), np.ones(b))
 
-    @pytest.mark.parametrize("shape", [(64, 64), (64, 192), (64, 256), (256, 64)])
-    def test_per_image_gradients_equal_per_image_products(self, shape):
+    @pytest.mark.parametrize("shape, rows", [
+        ((64, 64), 17), ((64, 192), 17), ((64, 256), 17), ((256, 64), 17),
+        ((64, 4), 1)])
+    def test_per_image_gradients_equal_per_image_products(self, shape, rows):
         """The gradients of matmul over a stack of images are, byte for
         byte, each image's own products: a_b^T g_b for the shared weight,
-        added in image order, and g_b W^T for the rows."""
+        added in image order, and g_b W^T for the rows. (64, 4) with one row
+        per image is the CLS head, head.w at the default architecture."""
         n, m = shape
         rng = Rng(50)
         for images in (2, 3, 5, 9):
-            a0 = rng.normal((images, 17, n)).astype(np.float32)
+            a0 = rng.normal((images, rows, n)).astype(np.float32)
             w0 = rng.normal(shape, 0.1).astype(np.float32)
-            g = rng.normal((images, 17, m)).astype(np.float32)
+            g = rng.normal((images, rows, m)).astype(np.float32)
             a, w = ag.leaf(a0), ag.leaf(w0)
             ag.backward({ag.matmul(a, w): g})
             grad_w = np.zeros_like(w0)

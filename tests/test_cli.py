@@ -112,6 +112,47 @@ class TestTrain:
         assert not any(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--weight-decay", "-1"), ("--weight-decay", "nan"),
+        ("--weight-decay", "inf")])
+    def test_bad_lr_or_weight_decay_fails_before_data(
+            self, trained, tmp_path, capsys, monkeypatch, command, flag, value):
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        monkeypatch.setattr("atsvit.cli.init_weights", no_weights)
+        out = tmp_path / "m.atsw"
+        source = ["--weights", trained] if command == "finetune" else []
+        rc = main([command, "--out", str(out), "--epochs", "1", "--quiet",
+                   flag, value] + source + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be finite and non-negative, "
+            f"got {float(value)}\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_zero_lr_and_weight_decay_are_allowed(self, trained, tmp_path):
+        out = tmp_path / "ft.atsw"
+        rc = main(["finetune", "--weights", trained, "--out", str(out),
+                   "--lr", "0", "--weight-decay", "0"] + DATA + FAST)
+        assert rc == 0
+        _, before = load_weights(trained)
+        _, after = load_weights(str(out))
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
+    def test_divergence_in_the_validation_pass_is_diagnosed(
+            self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "m.atsw"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--out", str(out), "--config", tiny_config,
+                       "--epochs", "1", "--batch-size", "16", "--lr", "1e30",
+                       "--quiet"] + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: diverged at epoch 0, in the validation pass: ")
+        assert not out.exists()
+
+
 class TestEval:
     def test_json_schema_and_determinism(self, trained, tmp_path):
         payloads = []
@@ -599,6 +640,34 @@ class TestMasks:
                     + DATA) == 0
         assert sorted(p.name for p in out.glob("img*.json")) == [
             f"img{i:03d}.json" for i in range(8)]
+
+    def test_images_without_paths_fails_before_any_image(
+            self, trained, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("atsvit.cli.load_pgm", no_data)
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        out = tmp_path / "masks_empty"
+        rc = main(["masks", "--weights", trained, "--out-dir", str(out),
+                   "--images"] + DATA)
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == "error: --images needs at least one PGM path\n")
+        assert not out.exists()
+
+    def test_default_count_is_at_most_n_val(self, trained, tmp_path):
+        out = tmp_path / "masks_few"
+        assert main(["masks", "--weights", trained, "--out-dir", str(out)]
+                    + DATA + ["--n-val", "3"]) == 0
+        assert sorted(p.name for p in out.glob("img*.json")) == [
+            f"img{i:03d}.json" for i in range(3)]
+
+    def test_n_val_below_one_names_no_count(self, trained, tmp_path, capsys):
+        out = tmp_path / "masks_none"
+        rc = main(["masks", "--weights", trained, "--out-dir", str(out)]
+                  + DATA + ["--n-val", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--count" not in err
+        assert not out.exists()
 
     def test_external_pgm_input(self, trained, tmp_path):
         from atsvit.dataset import save_pgm

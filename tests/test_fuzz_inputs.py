@@ -1,7 +1,8 @@
 """Fuzzing of the inputs the CLI reads from outside: weight files, PGM
-images, --config JSON and the clutter flags of the dataset manifest. Every
-input must either load or end in `error: ...` with exit code 1; an exception
-escaping main fails the test."""
+images, --config JSON, the clutter flags of the dataset manifest and the
+optimizer flags --lr and --weight-decay. Every input must either load or
+end in `error: ...` with exit code 1; an exception escaping main fails the
+test."""
 
 import contextlib
 import io
@@ -137,6 +138,26 @@ def test_manifest_floats(files):
                  "--out", str(files / "fuzz.json")]
                 + [f"{flag}={value!r}" for flag, value in flags.items()]
                 + SAMPLING + DATA)
+
+    check()
+
+
+optimizer_flags = st.dictionaries(
+    st.sampled_from(["--lr", "--weight-decay"]), manifest_floats, min_size=1)
+
+
+def test_optimizer_floats(files):
+    @FUZZ
+    @given(optimizer_flags)
+    @example({"--lr": -1.0})
+    @example({"--lr": 1e30})
+    @example({"--weight-decay": float("nan")})
+    def check(flags):
+        with np.errstate(all="ignore"):
+            run_cli(["finetune", "--weights", str(files / "tiny.atsw"),
+                     "--out", str(files / "fuzz_ft.atsw"), "--epochs", "1"]
+                    + [f"{flag}={value!r}" for flag, value in flags.items()]
+                    + DATA)
 
     check()
 

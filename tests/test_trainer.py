@@ -175,6 +175,21 @@ class TestTrain:
         assert str(info.value).startswith(
             f"diverged at epoch 0, step 0, samples {order}: non-finite values in")
 
+    def test_divergence_in_the_validation_pass_names_it(self):
+        """One step at a huge lr leaves finite weights whose validation
+        pass overflows; the diagnostic names the epoch and that pass."""
+        train_set, val_set = generate(TINY_DATA)
+        w = init_weights(TINY, Rng(5), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged) as info:
+            train(TINY, w, train_set, val_set, epochs=1,
+                  batch_size=len(train_set), base_lr=1e30, seed=0)
+        assert str(info.value).startswith(
+            "diverged at epoch 0, in the validation pass: non-finite values in")
+        # The training step itself ran through: its update is finite.
+        assert all(np.isfinite(v.value).all() for v in w.values())
+        assert max(np.abs(v.value).max() for v in w.values()) > 1e29
+
     def test_metric_rows_schema(self):
         train_set, val_set = generate(TINY_DATA)
         w = init_weights(TINY, Rng(4), dtype=np.float32)
