@@ -13,11 +13,20 @@ CLI's behaviour prints identical lines. The only input read from the
 repository is perfbench/weights/baseline.atsw.
 
     PYTHONPATH=src python scripts/artifact_hashes.py OUT_DIR > hashes.txt
+
+The lines are recorded in artifact_hashes.txt beside this script, made on
+the build that RECORDED_BUILD names; tests/test_artifact_hashes.py compares
+a fresh run with them on that build. A change that alters bytes on purpose
+rewrites the record in the same commit and says which artifacts changed and
+why:
+
+    PYTHONPATH=src python scripts/artifact_hashes.py OUT_DIR > scripts/artifact_hashes.txt
 """
 
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -26,11 +35,17 @@ import numpy as np
 from atsvit.cli import main as cli
 from atsvit.dataset import DatasetManifest, generate
 
-STORED = Path(__file__).resolve().parent.parent / "perfbench" / "weights" / "baseline.atsw"
+HERE = Path(__file__).resolve().parent
+STORED = HERE.parent / "perfbench" / "weights" / "baseline.atsw"
+RECORD = HERE / "artifact_hashes.txt"
+# The numpy version, BLAS build and machine of the recorded lines; numpy's
+# SIMD loops and the BLAS kernels may give other bytes elsewhere.
+RECORDED_BUILD = "numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64"
 DATA = ["--n-train", "256", "--n-val", "64", "--quiet"]
 STAGES = "2,3,4,5"
 # One scoring that reads attention, one that sums it, one that draws from
-# the Rng: each sweep runs them all from the shared per-image prefixes.
+# the Rng: each sweep evaluates them all in one call, from one prefix per
+# image.
 SWEEP_SCORINGS = ["--scorings", "cls-vnorm,rowsum,random-token"]
 FINETUNES = {
     "ft_inverse": ["--ats-stages", STAGES],
@@ -119,15 +134,27 @@ def run(out: Path) -> None:
         "--ats-stages", STAGES, "--k", "8"] + DATA + ["--n-val", "3"])
 
 
+def hash_lines(out: Path) -> list[str]:
+    """Run the recipe into out; one `sha256  relative-path` line per
+    artifact, in path order."""
+    run(out)
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+            f"{path.relative_to(out).as_posix()}"
+            for path in sorted(p for p in out.rglob("*") if p.is_file())]
+
+
+def build() -> str:
+    """The numpy version, BLAS build and machine that the bytes rest on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, {blas['name']} {blas['version']}, "
+            f"{platform.machine()}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out_dir", type=Path)
-    out = ap.parse_args().out_dir
-    run(out)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    print("\n".join(hash_lines(ap.parse_args().out_dir)))
 
 
 if __name__ == "__main__":

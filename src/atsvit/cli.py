@@ -37,8 +37,7 @@ from .model import (ARCH_FIELDS, ModelConfig, init_weights, as_nodes, forward,
                     load_weights, save_weights)
 from .numerics import FAST_DTYPE, NonFiniteError, Rng
 from .sampling import InverseRule, Policy, Scoring
-from .trainer import (EvalResult, PrefixCache, TrainingDiverged, eval_rng,
-                      evaluate, train)
+from .trainer import EvalResult, TrainingDiverged, eval_rng, evaluate, train
 
 
 def _parse_stages(text: str) -> tuple[int, ...]:
@@ -112,6 +111,24 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
+# The numeric flags' bounds: each flag's least value and the rule a refusal
+# states. main checks the flags a command has before it runs, so a bad value
+# is refused before any weights are made or images rendered; the library
+# keeps its own guards.
+FLAG_BOUNDS = [("--n-train", 1, "at least 1"), ("--n-val", 1, "at least 1"),
+               ("--batch-size", 1, "at least 1"), ("--k", 1, "at least 1"),
+               ("--epochs", 0, "non-negative"), ("--count", 0, "non-negative"),
+               ("--lr", 0, "finite and non-negative"),
+               ("--weight-decay", 0, "finite and non-negative")]
+
+
+def _check_bounds(args) -> None:
+    for flag, least, rule in FLAG_BOUNDS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not least <= value < math.inf:
+            raise ValueError(f"{flag} must be {rule}, got {value}")
+
+
 def _manifest(args) -> DatasetManifest:
     return DatasetManifest(seed=args.data_seed, n_train=args.n_train,
                            n_val=args.n_val, clutter_alpha=args.clutter_alpha,
@@ -154,6 +171,8 @@ def _check_data_fit(arch: ModelConfig) -> ModelConfig:
 
 def _apply_runtime(cfg: ModelConfig, args) -> ModelConfig:
     stages = _parse_stages(args.ats_stages)
+    if stages and args.k is not None and args.k > cfg.num_patches:
+        raise ValueError(f"--k {args.k} exceeds the patch count {cfg.num_patches}")
     k = args.k if args.k is not None else (cfg.num_patches if stages else cfg.sampler.k)
     return cfg.with_sampling(stages, k=k,
                              inverse_rule=InverseRule(args.inverse_rule),
@@ -191,15 +210,6 @@ def write_json(path: str, obj: dict) -> None:
         f.write("\n")
 
 
-def _check_train_flags(args) -> None:
-    """Checked before any weights are made or images rendered."""
-    if args.epochs < 0:
-        raise ValueError(f"--epochs must be non-negative, got {args.epochs}")
-    for flag, value in (("--lr", args.lr), ("--weight-decay", args.weight_decay)):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{flag} must be finite and non-negative, got {value}")
-
-
 def _fit(cfg: ModelConfig, weights, args) -> int:
     """Train weights under cfg (sampling stages make it a fine-tune), then
     write the weight file and its metrics CSV."""
@@ -214,13 +224,11 @@ def _fit(cfg: ModelConfig, weights, args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_train_flags(args)
     cfg = _apply_runtime(_check_data_fit(_arch_config(args)), args)
     return _fit(cfg, init_weights(cfg, Rng(args.seed), dtype=FAST_DTYPE), args)
 
 
 def cmd_finetune(args) -> int:
-    _check_train_flags(args)
     return _fit(*_load_model(args), args)
 
 
@@ -259,19 +267,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def resolve_budget(cfg: ModelConfig, weights, val_set, fractions: list[float],
-                   seed: int, prefixes: PrefixCache | None = None
-                   ) -> list[tuple[int, EvalResult]]:
-    """For each fraction, the largest budget whose mean MACs stay at or below
-    fraction * baseline (budget 1 if none does), paired with its result.
-    Every budget in 1..num_patches is evaluated once, so the answer does not
-    rest on mean MACs rising with the budget."""
-    baseline = static_macs(cfg)
-    scan = [(k, evaluate(cfg.with_sampling(cfg.ats_stages, k=k), weights,
-                         val_set, seed=seed, prefixes=prefixes))
-            for k in range(1, cfg.num_patches + 1)]
+def resolve_budget(scan: list[tuple[int, EvalResult]], fractions: list[float],
+                   baseline: float) -> list[tuple[int, EvalResult]]:
+    """For each fraction, the largest budget of scan, a list of (budget,
+    result) pairs, whose mean MACs stay at or below fraction * baseline (the
+    smallest budget if none does), paired with its result. Every pair is
+    read, so the answer does not rest on mean MACs rising with the budget."""
     return [max((p for p in scan if p[1].mean_macs <= frac * baseline),
-                key=lambda p: p[0], default=scan[0])
+                key=lambda p: p[0], default=min(scan, key=lambda p: p[0]))
             for frac in fractions]
 
 
@@ -281,7 +284,8 @@ def cmd_sweep(args) -> int:
     if args.mac_fraction is None:
         fractions, budgets = None, _parse_budgets(args.budgets, arch.num_patches)
     else:
-        fractions, budgets = _parse_fractions(args.mac_fraction), None
+        fractions, budgets = (_parse_fractions(args.mac_fraction),
+                              range(1, arch.num_patches + 1))
     policies = _parse_list("--policies", args.policies, Policy)
     scorings = _parse_list("--scorings", args.scorings, Scoring)
     stages = _parse_stages(args.ats_stages) or (2, 3, 4, 5)
@@ -290,28 +294,24 @@ def cmd_sweep(args) -> int:
     weights = as_nodes(tensors, dtype=FAST_DTYPE)
     _, val_set = generate(_manifest(args), train=False)
     baseline = static_macs(base_cfg)
-    # Every config below shares its first sampling stage, so each image's
-    # prefix is computed once for the whole call.
-    prefixes = PrefixCache(base_cfg, weights, val_set)
 
+    # One evaluate call for every row, so each image's prefix is computed
+    # once; a --mac-fraction sweep scans every budget of each combination.
+    combos = [(policy, scoring) for policy in policies for scoring in scorings]
+    results = iter(evaluate([base_cfg.with_sampling(stages, k=k, policy=policy,
+                                                    scoring=scoring)
+                             for policy, scoring in combos for k in budgets],
+                            weights, val_set, seed=args.seed))
     rows = []
-    for policy in policies:
-        for scoring in scorings:
-            combo_cfg = base_cfg.with_sampling(stages, policy=policy,
-                                               scoring=scoring)
-            if fractions is not None:
-                results = resolve_budget(combo_cfg, weights, val_set, fractions,
-                                         args.seed, prefixes)
-            else:
-                results = [(k, evaluate(combo_cfg.with_sampling(stages, k=k),
-                                        weights, val_set, seed=args.seed,
-                                        prefixes=prefixes))
-                           for k in budgets]
-            rows += [{"schema": 1, "policy": policy.value,
-                      "scoring": scoring.value, "k": k, "top1": f"{ev.top1:.6f}",
-                      "mean_macs": f"{ev.mean_macs:.1f}",
-                      "mac_fraction": f"{ev.mean_macs / baseline:.6f}"}
-                     for k, ev in results]
+    for policy, scoring in combos:
+        scan = [(k, next(results)) for k in budgets]
+        if fractions is not None:
+            scan = resolve_budget(scan, fractions, baseline)
+        rows += [{"schema": 1, "policy": policy.value,
+                  "scoring": scoring.value, "k": k, "top1": f"{ev.top1:.6f}",
+                  "mean_macs": f"{ev.mean_macs:.1f}",
+                  "mac_fraction": f"{ev.mean_macs / baseline:.6f}"}
+                 for k, ev in scan]
     write_csv(args.out, SWEEP_FIELDS, rows)
     return 0
 
@@ -323,11 +323,8 @@ def cmd_masks(args) -> int:
         raise ValueError("--count applies only to generated images, "
                          "not to --images")
     if not args.images:
-        # The manifest refuses an --n-val below 1 before --count is read.
         manifest = _manifest(args)
         count = min(8, args.n_val) if args.count is None else args.count
-        if count < 0:
-            raise ValueError(f"--count must be non-negative, got {count}")
         if count > args.n_val:
             raise ValueError(f"--count {count} exceeds --n-val {args.n_val}, "
                              f"the number of validation images")
@@ -453,7 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _check_bounds(args)
+        # The finite checks report an overflow, as one error line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ContainerError, ValueError, OSError, NonFiniteError,
             TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from . import autograd as ag
 from .autograd import Node
 from .dataset import ShapeSample
 from .flops import model_macs
-from .model import (ForwardTrace, ModelConfig, Prefix, backward_prefix,
-                    first_stage, forward, forward_prefix)
+from .model import (ForwardTrace, ModelConfig, backward_prefix, first_stage,
+                    forward, forward_prefix)
 from .numerics import NonFiniteError, Rng
 
 
@@ -140,44 +140,6 @@ def _chunks(n: int) -> Iterator[range]:
         yield range(start, min(start + CHUNK, n))
 
 
-class PrefixCache:
-    """Each image's forward_prefix, shared by every evaluate call of one
-    sweep and filled one chunk of images at a time, so the blocks up to and
-    including the first sampling stage run once per image and stage. Keyed
-    by image index and first sampling stage, and bound to the architecture,
-    the weight values and the sample list it is filled from, since a prefix
-    holds their results. 13,328 bytes per image at the default architecture
-    (float32 tokens, attention and values)."""
-
-    def __init__(self, cfg: ModelConfig, weights: dict[str, Node],
-                 samples: list[ShapeSample]):
-        self.arch = cfg.arch_dict()
-        self.weights = weights
-        self.values = [w.value for w in weights.values()]
-        self.samples = list(samples)
-        self.prefixes: dict[tuple[int, int], Prefix] = {}
-
-    def check(self, cfg: ModelConfig, weights: dict[str, Node],
-              samples: list[ShapeSample]) -> None:
-        if cfg.arch_dict() != self.arch:
-            raise ValueError("prefix cache was filled under another architecture")
-        if weights is not self.weights or any(
-                w.value is not v for w, v in zip(weights.values(), self.values)):
-            raise ValueError("prefix cache was filled with other weights")
-        if len(samples) != len(self.samples) or any(
-                a is not b for a, b in zip(samples, self.samples)):
-            raise ValueError("prefix cache was filled from other samples")
-
-    def get(self, cfg: ModelConfig, chunk: range) -> list[Prefix]:
-        stage = first_stage(cfg)
-        if any((i, stage) not in self.prefixes for i in chunk):
-            images = [self.samples[i].image for i in chunk]
-            self.prefixes.update(
-                ((i, stage), p) for i, p in
-                zip(chunk, forward_prefix(images, cfg, self.weights)))
-        return [self.prefixes[(i, stage)] for i in chunk]
-
-
 def eval_rng(seed: int, i: int) -> Rng:
     """The sampling stream of validation image i. Evaluation and the masks
     command both draw from it, so the masks show what evaluation sampled."""
@@ -189,31 +151,38 @@ def _require_samples(samples: list[ShapeSample], what: str) -> None:
         raise ValueError(f"{what} needs at least one sample")
 
 
-def evaluate(cfg: ModelConfig, weights: dict[str, Node],
-             samples: list[ShapeSample], seed: int = 0,
-             prefixes: PrefixCache | None = None) -> EvalResult:
-    """Forward every sample in input order under no_grad and aggregate
-    accuracy, cost, and token counts. Each chunk of CHUNK images runs its
-    sampling-independent prefix as one stacked pass; then each image runs
-    the rest of its forward alone, sampling with eval_rng(seed, i), so
-    reruns are bit-identical. With prefixes, each image's prefix is computed
-    once per cache and reused by every later call with the same first
-    sampling stage."""
+def evaluate(cfgs: ModelConfig | Sequence[ModelConfig],
+             weights: dict[str, Node], samples: list[ShapeSample],
+             seed: int = 0) -> EvalResult | list[EvalResult]:
+    """Forward every sample in input order under no_grad, once per config,
+    and aggregate accuracy, cost and token counts. The configs share one
+    architecture. Each chunk of CHUNK images runs its sampling-independent
+    prefix as one stacked pass per distinct first sampling stage, so a sweep
+    computes it once per image; then each config runs each image's tail
+    alone, sampling with eval_rng(seed, i), so results do not depend on
+    which configs are evaluated together. One config gives one EvalResult, a
+    sequence a list in its order."""
     _require_samples(samples, "evaluate")
-    if prefixes is not None:
-        prefixes.check(cfg, weights, samples)
-    tally = _Tally(cfg)
+    one = isinstance(cfgs, ModelConfig)
+    cfgs = [cfgs] if one else list(cfgs)
+    if any(c.arch_dict() != cfgs[0].arch_dict() for c in cfgs):
+        raise ValueError("evaluate needs configs of one architecture")
+    tallies = [_Tally(cfg) for cfg in cfgs]
     with ag.no_grad():
         for chunk in _chunks(len(samples)):
-            batch = (forward_prefix([samples[i].image for i in chunk], cfg,
-                                    weights)
-                     if prefixes is None else prefixes.get(cfg, chunk))
-            for i, prefix in zip(chunk, batch):
-                s = samples[i]
-                t = forward(s.image, cfg, weights, rng=eval_rng(seed, i),
-                            prefix=prefix)
-                tally.add(t, s.label, ag.cross_entropy(t.logits_node, s.label))
-    return tally.result()
+            images = [samples[i].image for i in chunk]
+            prefixes = {}  # first sampling stage -> the chunk's prefixes
+            for cfg, tally in zip(cfgs, tallies):
+                stage = first_stage(cfg)
+                if stage not in prefixes:
+                    prefixes[stage] = forward_prefix(images, cfg, weights)
+                for i, prefix in zip(chunk, prefixes[stage]):
+                    s = samples[i]
+                    t = forward(s.image, cfg, weights, rng=eval_rng(seed, i),
+                                prefix=prefix)
+                    tally.add(t, s.label, ag.cross_entropy(t.logits_node, s.label))
+    results = [tally.result() for tally in tallies]
+    return results[0] if one else results
 
 
 def _metric_row(epoch: int, split: str, loss: float, ev: EvalResult) -> dict:

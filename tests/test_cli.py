@@ -13,11 +13,10 @@ from atsvit import autograd as ag
 from atsvit import cli
 from atsvit.cli import main, resolve_budget
 from atsvit.dataset import DatasetManifest, generate, load_pgm
-from atsvit.flops import static_macs
 from atsvit.model import (ModelConfig, as_nodes, forward, init_weights,
                           load_weights, save_weights)
 from atsvit.numerics import FAST_DTYPE, Rng
-from atsvit.trainer import CHUNK, TRAIN_CHUNK, EvalResult
+from atsvit.trainer import CHUNK, TRAIN_CHUNK, EvalResult, evaluate
 
 
 def read_csv_rows(path: str) -> list[dict]:
@@ -94,7 +93,8 @@ class TestTrain:
         rc = main([command, "--out", str(out), "--epochs", "1", "--quiet",
                    "--batch-size", size] + source + DATA)
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: batch size")
+        assert (capsys.readouterr().err
+                == f"error: --batch-size must be at least 1, got {size}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "finetune"])
@@ -141,15 +141,17 @@ class TestTrain:
         assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_divergence_in_the_validation_pass_is_diagnosed(
-            self, tiny_config, tmp_path, capsys):
+            self, tiny_config, tmp_path, capsys, recwarn):
         out = tmp_path / "m.atsw"
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["train", "--out", str(out), "--config", tiny_config,
-                       "--epochs", "1", "--batch-size", "16", "--lr", "1e30",
-                       "--quiet"] + DATA)
+        rc = main(["train", "--out", str(out), "--config", tiny_config,
+                   "--epochs", "1", "--batch-size", "16", "--lr", "1e30",
+                   "--quiet"] + DATA)
         assert rc == 1
-        assert capsys.readouterr().err.startswith(
+        err = capsys.readouterr().err
+        assert err.startswith(
             "error: diverged at epoch 0, in the validation pass: ")
+        assert err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
 
@@ -374,42 +376,54 @@ def test_bad_clutter_flag_fails_before_data(trained, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--n-train", "0"], "--n-train must be at least 1, got 0"),
+    ("sweep", ["--n-val", "-1"], "--n-val must be at least 1, got -1"),
+    ("finetune", ["--batch-size", "0"], "--batch-size must be at least 1, got 0"),
+    ("eval", ["--k", "0"], "--k must be at least 1, got 0"),
+    ("train", ["--ats-stages", "2", "--k", "17"],
+     "--k 17 exceeds the patch count 16")])
+def test_out_of_bounds_flag_is_named_before_data(
+        trained, tiny_config, tmp_path, capsys, monkeypatch, command, flags,
+        message):
+    monkeypatch.setattr("atsvit.cli.generate", no_data)
+    monkeypatch.setattr("atsvit.cli.init_weights", no_weights)
+    monkeypatch.chdir(tmp_path)
+    source = (["--config", tiny_config] if command == "train"
+              else ["--weights", trained])
+    out = ["--out", "x"]
+    rc = main([command, "--quiet"] + source + out + DATA + flags)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 class TestResolveBudget:
-    """resolve_budget against a fake evaluate whose cost curve is not
-    monotone in k: k=4 costs more than k=5 and k=6."""
-    CFG = ModelConfig().with_sampling((2, 3))
-    COST = {k: 0.4 + 0.03 * k for k in range(1, CFG.num_patches + 1)} | {4: 0.9}
+    """resolve_budget over a hand-made scan whose cost is not monotone in k:
+    k=4 costs more than k=5 and k=6."""
+    BASELINE = 1000.0
+    MACS = {k: 1000.0 * (0.4 + 0.03 * k) for k in range(1, 17)} | {4: 900.0}
+    SCAN = [(k, EvalResult(top1=k / 100, mean_loss=0.0, mean_macs=m,
+                           macs=np.zeros(0, dtype=np.int64), kprime={}))
+            for k, m in MACS.items()]
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        baseline = static_macs(self.CFG)
-
-        def fake_evaluate(cfg, weights, samples, seed=0, prefixes=None):
-            k = cfg.sampler.k
-            calls.append(k)
-            return EvalResult(top1=k / 100, mean_loss=0.0,
-                              mean_macs=self.COST[k] * baseline,
-                              macs=np.zeros(0, dtype=np.int64), kprime={})
-
-        monkeypatch.setattr(cli, "evaluate", fake_evaluate)
-        return calls
-
-    def test_largest_qualifying_budget_past_a_costly_one(self, calls):
+    def test_largest_qualifying_budget_past_a_costly_one(self):
         # A bisection would probe k=8, then k=4 (0.9 > 0.6) and stop at 3.
-        [(k, ev)] = resolve_budget(self.CFG, {}, [], [0.6], seed=0)
+        [(k, ev)] = resolve_budget(self.SCAN, [0.6], self.BASELINE)
         assert k == 6
         assert ev.top1 == 0.06
 
-    def test_each_budget_evaluated_once(self, calls):
-        got = resolve_budget(self.CFG, {}, [], [0.5, 0.6, 0.8], seed=0)
-        assert sorted(calls) == list(range(1, self.CFG.num_patches + 1))
-        assert [k for k, _ in got] == [3, 6, 13]
+    def test_one_answer_per_fraction_in_any_scan_order(self):
+        for scan in (self.SCAN, self.SCAN[::-1]):
+            got = resolve_budget(scan, [0.5, 0.6, 0.8], self.BASELINE)
+            assert [(k, ev.top1) for k, ev in got] == [(3, 0.03), (6, 0.06),
+                                                       (13, 0.13)]
 
-    def test_fraction_below_every_cost_gives_budget_one(self, calls):
-        [(k, ev)] = resolve_budget(self.CFG, {}, [], [0.1], seed=0)
-        assert k == 1
-        assert ev.top1 == 0.01
+    def test_fraction_below_every_cost_gives_the_smallest_budget(self):
+        for scan in (self.SCAN, self.SCAN[::-1]):
+            [(k, ev)] = resolve_budget(scan, [0.1], self.BASELINE)
+            assert k == 1
+            assert ev.top1 == 0.01
 
 
 class TestSweep:
@@ -461,6 +475,24 @@ class TestSweep:
         assert main(["sweep", "--out", str(grid),
                      "--budgets", budgets] + common) == 0
         assert frac.read_bytes() == grid.read_bytes()
+
+    @pytest.mark.parametrize("rows", [["--budgets", "2,4,8"],
+                                      ["--mac-fraction", "0.5,0.8"]])
+    def test_one_evaluate_call_per_sweep(self, trained, tmp_path, monkeypatch,
+                                         rows):
+        calls = []
+        monkeypatch.setattr(cli, "evaluate", lambda cfgs, *a, **kw:
+                            calls.append(cfgs) or evaluate(cfgs, *a, **kw))
+        assert main(["sweep", "--weights", trained, "--out",
+                     str(tmp_path / "s.csv"), "--ats-stages", "1,2",
+                     "--policies", "inverse,topk", "--scorings",
+                     "cls-vnorm,cls"] + rows + DATA) == 0
+        budgets = [2, 4, 8] if rows[0] == "--budgets" else range(1, 17)
+        [cfgs] = calls
+        assert [(c.sampler.policy.value, c.scoring.value, c.sampler.k)
+                for c in cfgs] == [(p, s, k) for p in ("inverse", "topk")
+                                   for s in ("cls-vnorm", "cls")
+                                   for k in budgets]
 
     @pytest.mark.parametrize("fractions", ["nan,-1", "0", "inf", "0.5,nan"])
     def test_bad_mac_fraction_fails_before_data(self, trained, tmp_path, capsys,

@@ -14,9 +14,9 @@ from atsvit.model import (ModelConfig, as_nodes, backward_prefix, forward,
                           forward_prefix, init_weights, load_weights)
 from atsvit.numerics import Rng
 from atsvit.sampling import Policy, Scoring
-from atsvit.trainer import (CHUNK, TRAIN_CHUNK, OptimState, PrefixCache,
-                            Schedule, TrainingDiverged, eval_rng, evaluate,
-                            lr_at, optim_step, train)
+from atsvit.trainer import (CHUNK, TRAIN_CHUNK, OptimState, Schedule,
+                            TrainingDiverged, eval_rng, evaluate, lr_at,
+                            optim_step, train)
 
 TINY = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2, depth=2,
                    mlp_ratio=2, num_classes=4)
@@ -332,14 +332,31 @@ class TestChunkedEvaluate:
                 assert list(ev.kprime[stage]) == [t.samples[stage].k_prime
                                                   for t in alone]
 
-    def test_cache_over_two_chunks_matches_uncached(self, stored):
+    def test_one_call_gives_the_bytes_of_separate_calls(self, stored,
+                                                        monkeypatch):
+        """evaluate over many configs runs each chunk's prefix once per first
+        sampling stage, and each config's result keeps the bytes of its own
+        call: on every TestSharedPrefix config at 4 images, and on this
+        class's configs over two chunks."""
         base, w, val_set = stored
-        cache = PrefixCache(base, w, val_set)
-        for cfg in self.configs(base):
-            assert_same_result(evaluate(cfg, w, val_set, seed=5, prefixes=cache),
-                               evaluate(cfg, w, val_set, seed=5))
-        assert sorted(cache.prefixes) == [(i, s) for i in range(CHUNK + 1)
-                                          for s in (0, 2, 5, base.depth)]
+        six = TestSharedPrefix.SIX
+        _, tiny_val = generate(TINY_DATA, train=False)
+        cases = [(list(TestSharedPrefix.configs()),
+                  init_weights(six, Rng(11), dtype=np.float32), tiny_val[:4],
+                  {0, 1, 2, 5}),
+                 (list(self.configs(base)), w, val_set, {0, 2, 5, base.depth})]
+        for cfgs, weights, samples, stages in cases:
+            prefix_calls = []
+            monkeypatch.setattr(trainer, "forward_prefix", lambda images, cfg, w:
+                                prefix_calls.append(trainer.first_stage(cfg))
+                                or forward_prefix(images, cfg, w))
+            together = evaluate(cfgs, weights, samples, seed=5)
+            chunks = -(-len(samples) // CHUNK)
+            assert sorted(prefix_calls) == sorted(list(stages) * chunks)
+            monkeypatch.undo()
+            assert len(together) == len(cfgs)
+            for cfg, ev in zip(cfgs, together):
+                assert_same_result(ev, evaluate(cfg, weights, samples, seed=5))
 
     def test_recorded_stacked_prefix_gives_per_image_grads(self, stored):
         """Recorded, a stacked prefix and backward_prefix give every leaf the
@@ -462,10 +479,10 @@ class TestChunkSizeInvariance:
         assert sweeps[1:] == sweeps[:1] * (len(self.CHUNKS) - 1)
 
 
-class TestPrefixCache:
-    """Sweeps share each image's prefix (every block up to and including the
-    first sampling stage, and that stage's attention and values) across
-    configs."""
+class TestSharedPrefix:
+    """Configs with the same first sampling stage branch from one prefix of
+    each image: every block up to and including that stage, and the stage's
+    attention and values."""
     SIX = ModelConfig(image_size=32, patch_size=8, dim=16, heads=2, depth=6,
                       mlp_ratio=2, num_classes=4)
 
@@ -474,27 +491,14 @@ class TestPrefixCache:
         _, val_set = generate(TINY_DATA, train=False)
         return init_weights(self.SIX, Rng(11), dtype=np.float32), val_set[:4]
 
-    def configs(self):
+    @classmethod
+    def configs(cls):
         for stages in ((2, 3, 4, 5), (1, 3), (0,), (5,), (0, 5)):
             for policy in Policy:
                 for scoring in Scoring:
                     for k in (1, 8, 16):
-                        yield self.SIX.with_sampling(stages, k=k, policy=policy,
-                                                     scoring=scoring)
-
-    def test_shared_cache_matches_uncached_evaluate(self, setup):
-        w, samples = setup
-        cache = PrefixCache(self.SIX, w, samples)
-        for cfg in self.configs():
-            cached = evaluate(cfg, w, samples, seed=5, prefixes=cache)
-            plain = evaluate(cfg, w, samples, seed=5)
-            assert cached.top1 == plain.top1, cfg.runtime_dict()
-            assert cached.mean_loss == plain.mean_loss, cfg.runtime_dict()
-            assert np.array_equal(cached.macs, plain.macs), cfg.runtime_dict()
-            for stage in cfg.ats_stages:
-                assert np.array_equal(cached.kprime[stage], plain.kprime[stage])
-        assert sorted(cache.prefixes) == [(i, s) for i in range(4)
-                                          for s in (0, 1, 2, 5)]
+                        yield cls.SIX.with_sampling(stages, k=k, policy=policy,
+                                                    scoring=scoring)
 
     def test_forward_with_prefix_is_byte_equal(self, setup):
         """The prefix draws no random words: a pass that starts from it hands
@@ -516,32 +520,8 @@ class TestPrefixCache:
             forward(samples[0].image, self.SIX.with_sampling((1, 3)), w,
                     prefix=prefix)
 
-    def test_bound_to_its_weights_samples_and_architecture(self, setup):
+    def test_configs_of_another_architecture_are_refused(self, setup):
         w, samples = setup
         cfg = self.SIX.with_sampling((2, 3), k=4)
-        cache = PrefixCache(self.SIX, w, samples)
-        evaluate(cfg, w, samples, prefixes=cache)
-        evaluate(cfg, w, list(samples), prefixes=cache)  # a copy of the list is fine
-        other = init_weights(self.SIX, Rng(12), dtype=np.float32)
-        with pytest.raises(ValueError, match="other weights"):
-            evaluate(cfg, other, samples, prefixes=cache)
-        with pytest.raises(ValueError, match="other weights"):
-            evaluate(cfg, dict(w), samples, prefixes=cache)  # even of the same arrays
-        with pytest.raises(ValueError, match="other samples"):
-            evaluate(cfg, w, samples[:3], prefixes=cache)
-        with pytest.raises(ValueError, match="other samples"):
-            evaluate(cfg, w, samples[1:] + samples[:1], prefixes=cache)
-        with pytest.raises(ValueError, match="another architecture"):
-            evaluate(replace(cfg, heads=4), w, samples, prefixes=cache)
-
-    def test_replaced_weight_array_is_refused(self, setup):
-        """An optimizer step replaces each parameter's value array, so a cache
-        filled before it no longer matches."""
-        _, samples = setup
-        w = init_weights(self.SIX, Rng(13), dtype=np.float32)
-        cfg = self.SIX.with_sampling((2, 3), k=4)
-        cache = PrefixCache(self.SIX, w, samples)
-        evaluate(cfg, w, samples, prefixes=cache)
-        w["block0.qkv.w"].value = w["block0.qkv.w"].value * 2
-        with pytest.raises(ValueError, match="other weights"):
-            evaluate(cfg, w, samples, prefixes=cache)
+        with pytest.raises(ValueError, match="one architecture"):
+            evaluate([cfg, replace(cfg, heads=4)], w, samples)
