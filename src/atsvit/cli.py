@@ -28,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Node
 from .container import ContainerError
-from .dataset import (IMAGE_SIZE, NUM_CLASSES, DatasetManifest, generate,
-                      load_pgm, save_pgm)
+from .dataset import (IMAGE_SIZE, MAX_CLUTTER_SCALE, NUM_CLASSES,
+                      DatasetManifest, generate, load_pgm, save_pgm)
 from .flops import static_macs
 from .model import (ARCH_FIELDS, ModelConfig, init_weights, as_nodes, forward,
                     load_weights, save_weights)
@@ -58,23 +57,6 @@ def _parse_list(flag: str, text: str, parse) -> list:
         return [parse(t) for t in items]
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
-
-
-def _parse_budgets(text: str, num_patches: int) -> list[int]:
-    budgets = _parse_list("--budgets", text, int)
-    for k in budgets:
-        if not 1 <= k <= num_patches:
-            raise ValueError(f"--budgets values must lie in [1, {num_patches}], "
-                             f"got {k}")
-    return budgets
-
-
-def _parse_fractions(text: str) -> list[float]:
-    fractions = _parse_list("--mac-fraction", text, float)
-    if not all(0 < f < math.inf for f in fractions):
-        raise ValueError(f"--mac-fraction values must be finite and positive, "
-                         f"got {text}")
-    return fractions
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -111,22 +93,52 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
-# The numeric flags' bounds: each flag's least value and the rule a refusal
-# states. main checks the flags a command has before it runs, so a bad value
-# is refused before any weights are made or images rendered; the library
-# keeps its own guards.
-FLAG_BOUNDS = [("--n-train", 1, "at least 1"), ("--n-val", 1, "at least 1"),
-               ("--batch-size", 1, "at least 1"), ("--k", 1, "at least 1"),
-               ("--epochs", 0, "non-negative"), ("--count", 0, "non-negative"),
-               ("--lr", 0, "finite and non-negative"),
-               ("--weight-decay", 0, "finite and non-negative")]
+# The bounded flags: each one's least and most value, both inclusive, and
+# the rule a refusal states. Every value must also be finite. A float flag's
+# least value is a float, and a list flag's items parse as its least value's
+# type. A most value named by a string comes from the model or --n-val. main
+# checks each flag a command takes, each item of a list flag too, before any
+# weights are made or images rendered; the library keeps its own guards.
+_POSITIVE = math.ulp(0.0)  # the least positive float
+FLAG_BOUNDS = [
+    ("--n-train", 1, math.inf, "at least 1"),
+    ("--n-val", 1, math.inf, "at least 1"),
+    ("--batch-size", 1, math.inf, "at least 1"),
+    ("--epochs", 0, math.inf, "non-negative"),
+    ("--count", 0, "--n-val", "in [0, {most}] (at most --n-val)"),
+    ("--k", 1, "patch count", "in [1, {most}]"),
+    ("--budgets", 1, "patch count", "in [1, {most}]"),
+    ("--ats-stages", 0, "depth - 1", "in [0, {most}]"),
+    ("--lr", 0.0, math.inf, "finite and non-negative"),
+    ("--weight-decay", 0.0, math.inf, "finite and non-negative"),
+    ("--mac-fraction", _POSITIVE, math.inf, "finite and positive"),
+    ("--clutter-alpha", _POSITIVE, math.inf, "finite and positive"),
+    ("--clutter-beta", _POSITIVE, math.inf, "finite and positive"),
+    ("--clutter-scale", 0.0, MAX_CLUTTER_SCALE, "in [0, {most:.2f}]"),
+]
 
 
-def _check_bounds(args) -> None:
-    for flag, least, rule in FLAG_BOUNDS:
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and not least <= value < math.inf:
-            raise ValueError(f"{flag} must be {rule}, got {value}")
+def _check_flags(args, arch: ModelConfig) -> None:
+    """Refuse the first value of args outside its row of FLAG_BOUNDS. A list
+    flag's text is parsed here, its one parse, and args keeps its values."""
+    limits = {"patch count": arch.num_patches, "depth - 1": arch.depth - 1,
+              "--n-val": args.n_val}
+    for flag, least, most, rule in FLAG_BOUNDS:
+        name = flag[2:].replace("-", "_")
+        values = getattr(args, name, None)
+        if values is None:
+            continue
+        if isinstance(values, str):
+            values = (_parse_stages(values) if flag == "--ats-stages"
+                      else _parse_list(flag, values, type(least)))
+            setattr(args, name, values)
+        else:
+            values = [values]
+        most = limits[most] if isinstance(most, str) else most
+        for v in values:
+            if not (least <= v <= most and v < math.inf):
+                raise ValueError(f"{flag} must be {rule.format(most=most)}, "
+                                 f"got {v}")
 
 
 def _manifest(args) -> DatasetManifest:
@@ -153,42 +165,28 @@ def _arch_config(args) -> ModelConfig:
     return ModelConfig(**fields)
 
 
-def _check_data_fit(arch: ModelConfig) -> ModelConfig:
-    """arch, once it fits the generated data: grayscale IMAGE_SIZE-pixel
-    square images, each labelled with one of NUM_CLASSES classes. Checked
-    before any weights are made or images rendered."""
+def _check_data_fit(arch: ModelConfig, labels: bool = True) -> None:
+    """Refuse arch unless it fits the generated data: grayscale
+    IMAGE_SIZE-pixel square images and, with labels, NUM_CLASSES classes.
+    Checked before any weights are made or images rendered."""
     if (arch.image_size, arch.channels) != (IMAGE_SIZE, 1):
         raise ValueError(
             f"the generated images are {IMAGE_SIZE}x{IMAGE_SIZE} with 1 channel, "
             f"but the model takes image_size {arch.image_size} with "
             f"{arch.channels} channels")
-    if arch.num_classes < NUM_CLASSES:
+    if labels and arch.num_classes < NUM_CLASSES:
         raise ValueError(
             f"the generated data has {NUM_CLASSES} classes, but the model "
             f"has num_classes {arch.num_classes}")
-    return arch
 
 
 def _apply_runtime(cfg: ModelConfig, args) -> ModelConfig:
-    stages = _parse_stages(args.ats_stages)
-    if stages and args.k is not None and args.k > cfg.num_patches:
-        raise ValueError(f"--k {args.k} exceeds the patch count {cfg.num_patches}")
+    stages = args.ats_stages
     k = args.k if args.k is not None else (cfg.num_patches if stages else cfg.sampler.k)
     return cfg.with_sampling(stages, k=k,
                              inverse_rule=InverseRule(args.inverse_rule),
                              policy=Policy(args.policy),
                              scoring=Scoring(args.scoring))
-
-
-def _load_model(args, fit_data: bool = True
-                ) -> tuple[ModelConfig, dict[str, Node]]:
-    """The weight file's architecture under the runtime flags, and its
-    weights as nodes of the fast dtype. With fit_data, the architecture must
-    fit the generated data (see _check_data_fit)."""
-    arch, tensors = load_weights(args.weights)
-    if fit_data:
-        _check_data_fit(arch)
-    return _apply_runtime(arch, args), as_nodes(tensors, dtype=FAST_DTYPE)
 
 
 METRICS_FIELDS = ["schema", "epoch", "split", "loss", "top1",
@@ -223,13 +221,13 @@ def _fit(cfg: ModelConfig, weights, args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _apply_runtime(_check_data_fit(_arch_config(args)), args)
+def cmd_train(args, arch: ModelConfig, _) -> int:
+    cfg = _apply_runtime(arch, args)
     return _fit(cfg, init_weights(cfg, Rng(args.seed), dtype=FAST_DTYPE), args)
 
 
-def cmd_finetune(args) -> int:
-    return _fit(*_load_model(args), args)
+def cmd_finetune(args, arch: ModelConfig, weights) -> int:
+    return _fit(_apply_runtime(arch, args), weights, args)
 
 
 def _eval_payload(cfg: ModelConfig, weights, val_set, seed: int) -> dict:
@@ -256,8 +254,8 @@ def _eval_payload(cfg: ModelConfig, weights, val_set, seed: int) -> dict:
     }
 
 
-def cmd_eval(args) -> int:
-    cfg, weights = _load_model(args)
+def cmd_eval(args, arch: ModelConfig, weights) -> int:
+    cfg = _apply_runtime(arch, args)
     _, val_set = generate(_manifest(args), train=False)
     payload = _eval_payload(cfg, weights, val_set, args.seed)
     write_json(args.out, payload)
@@ -278,20 +276,15 @@ def resolve_budget(scan: list[tuple[int, EvalResult]], fractions: list[float],
             for frac in fractions]
 
 
-def cmd_sweep(args) -> int:
-    arch, tensors = load_weights(args.weights)
-    _check_data_fit(arch)
-    if args.mac_fraction is None:
-        fractions, budgets = None, _parse_budgets(args.budgets, arch.num_patches)
-    else:
-        fractions, budgets = (_parse_fractions(args.mac_fraction),
-                              range(1, arch.num_patches + 1))
+def cmd_sweep(args, arch: ModelConfig, weights) -> int:
+    fractions = args.mac_fraction
+    budgets = (args.budgets if fractions is None
+               else range(1, arch.num_patches + 1))
     policies = _parse_list("--policies", args.policies, Policy)
     scorings = _parse_list("--scorings", args.scorings, Scoring)
-    stages = _parse_stages(args.ats_stages) or (2, 3, 4, 5)
+    stages = args.ats_stages or (2, 3, 4, 5)
     base_cfg = arch.with_sampling(stages, k=arch.num_patches,
                                   inverse_rule=InverseRule(args.inverse_rule))
-    weights = as_nodes(tensors, dtype=FAST_DTYPE)
     _, val_set = generate(_manifest(args), train=False)
     baseline = static_macs(base_cfg)
 
@@ -316,24 +309,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_masks(args) -> int:
+def cmd_masks(args, arch: ModelConfig, weights) -> int:
     if args.images == []:
         raise ValueError("--images needs at least one PGM path")
     if args.images and args.count is not None:
         raise ValueError("--count applies only to generated images, "
                          "not to --images")
-    if not args.images:
-        manifest = _manifest(args)
-        count = min(8, args.n_val) if args.count is None else args.count
-        if count > args.n_val:
-            raise ValueError(f"--count {count} exceeds --n-val {args.n_val}, "
-                             f"the number of validation images")
-    # Masks computes no loss, and its images may be PGMs of any size.
-    cfg, weights = _load_model(args, fit_data=False)
+    # Masks computes no loss, so the model may have any image size and
+    # class count; the images, PGMs or generated, must be of its size.
+    cfg = _apply_runtime(arch, args)
     if args.images:
         images = [load_pgm(p) for p in args.images]
     else:
-        _, val_set = generate(manifest, train=False)
+        _check_data_fit(arch, labels=False)
+        count = min(8, args.n_val) if args.count is None else args.count
+        _, val_set = generate(_manifest(args), train=False)
         images = [s.image for s in val_set[:count]]
 
     out_dir = Path(args.out_dir)
@@ -450,10 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_bounds(args)
+        # train's architecture is its --config; the others' is in --weights.
+        if args.command == "train":
+            arch, tensors = _arch_config(args), {}
+        else:
+            arch, tensors = load_weights(args.weights)
+        if args.command != "masks":
+            _check_data_fit(arch)
+        _check_flags(args, arch)
         # The finite checks report an overflow, as one error line.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return args.func(args, arch, as_nodes(tensors, dtype=FAST_DTYPE))
     except (ContainerError, ValueError, OSError, NonFiniteError,
             TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)

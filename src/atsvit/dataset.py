@@ -25,6 +25,8 @@ NUM_CLASSES = 4
 _SHAPE_MIN = 0.75    # shape pixel intensity floor
 _CLUTTER_FRAGS = 14  # distractor count at clutter level 1
 _NOISE_FLOOR = 0.18  # background noise amplitude at clutter level 1
+# The largest clutter scale: at most one fragment per canvas pixel.
+MAX_CLUTTER_SCALE = IMAGE_SIZE ** 2 / _CLUTTER_FRAGS
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,10 @@ class DatasetManifest:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {getattr(self, name)}")
-        # At most one fragment per canvas pixel; this also refuses NaN.
-        if not 0 <= self.clutter_scale * _CLUTTER_FRAGS <= IMAGE_SIZE ** 2:
+        # This also refuses NaN.
+        if not 0 <= self.clutter_scale <= MAX_CLUTTER_SCALE:
             raise ValueError(f"clutter_scale must be in [0, "
-                             f"{IMAGE_SIZE ** 2 / _CLUTTER_FRAGS:.2f}], "
-                             f"got {self.clutter_scale}")
+                             f"{MAX_CLUTTER_SCALE:.2f}], got {self.clutter_scale}")
 
 
 def _draw_hbar(img: np.ndarray, rng: Rng, value: float) -> None:

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -358,6 +360,11 @@ def test_weight_file_that_does_not_fit_the_data_fails_before_data(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.atsw"]
 
 
+CLUTTER_RULES = {"--clutter-scale": "in [0, 73.14]",
+                 "--clutter-alpha": "finite and positive",
+                 "--clutter-beta": "finite and positive"}
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--clutter-scale", "inf"), ("--clutter-scale", "1e300"),
     ("--clutter-scale", "nan"), ("--clutter-scale", "-1"),
@@ -371,8 +378,8 @@ def test_bad_clutter_flag_fails_before_data(trained, tmp_path, capsys,
     rc = main(["eval", "--weights", trained, "--out", str(out),
                f"{flag}={value}", "--quiet"] + DATA)
     assert rc == 1
-    field = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be {CLUTTER_RULES[flag]}, got {float(value)}\n")
     assert not out.exists()
 
 
@@ -380,9 +387,18 @@ def test_bad_clutter_flag_fails_before_data(trained, tmp_path, capsys,
     ("train", ["--n-train", "0"], "--n-train must be at least 1, got 0"),
     ("sweep", ["--n-val", "-1"], "--n-val must be at least 1, got -1"),
     ("finetune", ["--batch-size", "0"], "--batch-size must be at least 1, got 0"),
-    ("eval", ["--k", "0"], "--k must be at least 1, got 0"),
+    ("eval", ["--k", "0"], "--k must be in [1, 16], got 0"),
     ("train", ["--ats-stages", "2", "--k", "17"],
-     "--k 17 exceeds the patch count 16")])
+     "--k must be in [1, 16], got 17"),
+    ("eval", ["--ats-stages", "7"], "--ats-stages must be in [0, 2], got 7"),
+    ("sweep", ["--ats-stages", "7"], "--ats-stages must be in [0, 2], got 7"),
+    ("eval", ["--clutter-alpha", "0"],
+     "--clutter-alpha must be finite and positive, got 0.0"),
+    # Refused though no stage samples, so the budget would go unread.
+    ("eval", ["--k", "17"], "--k must be in [1, 16], got 17"),
+    # Refused though --mac-fraction, not --budgets, picks the rows.
+    ("sweep", ["--mac-fraction", "0.5", "--budgets", "99"],
+     "--budgets must be in [1, 16], got 99")])
 def test_out_of_bounds_flag_is_named_before_data(
         trained, tiny_config, tmp_path, capsys, monkeypatch, command, flags,
         message):
@@ -395,6 +411,47 @@ def test_out_of_bounds_flag_is_named_before_data(
     rc = main([command, "--quiet"] + source + out + DATA + flags)
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def commands_taking(flag: str) -> list[str]:
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return [name for name, p in sub.choices.items()
+            if flag in p._option_string_actions]
+
+
+def out_of_bounds(least, most) -> list:
+    """Values just outside [least, most], and for a float flag nan and inf."""
+    if isinstance(least, int):
+        return [least - 1] + ([most + 1] if isinstance(most, int) else [])
+    return ([math.nextafter(least, -math.inf)]
+            + ([math.nextafter(most, math.inf)] if most < math.inf else [])
+            + [math.nan, math.inf])
+
+
+# The named most values for the tiny model trained on DATA.
+TINY_MOSTS = {"patch count": 16, "depth - 1": 2, "--n-val": 8}
+BOUND_CASES = [(command, flag, value, rule.format(most=TINY_MOSTS.get(most, most)))
+               for flag, least, most, rule in cli.FLAG_BOUNDS
+               for command in commands_taking(flag) or [None]
+               for value in out_of_bounds(least, TINY_MOSTS.get(most, most))]
+
+
+@pytest.mark.parametrize("command, flag, value, rule", BOUND_CASES)
+def test_every_flag_bound_is_refused_before_data(
+        trained, tiny_config, tmp_path, capsys, monkeypatch, command, flag,
+        value, rule):
+    assert command, f"no subcommand takes {flag}, a row of FLAG_BOUNDS"
+    monkeypatch.setattr("atsvit.cli.generate", no_data)
+    monkeypatch.setattr("atsvit.cli.init_weights", no_weights)
+    monkeypatch.chdir(tmp_path)
+    source = (["--config", tiny_config] if command == "train"
+              else ["--weights", trained])
+    out = ["--out-dir" if command == "masks" else "--out", "x"]
+    rc = main([command, "--quiet"] + source + out + DATA + [f"{flag}={value!r}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {flag} must be {rule}, got {value}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -502,21 +559,24 @@ class TestSweep:
         rc = main(["sweep", "--weights", trained, "--out", str(out),
                    f"--mac-fraction={fractions}"] + DATA)
         assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            "error: --mac-fraction values must be finite and positive")
+        first_bad = next(f for f in map(float, fractions.split(","))
+                         if not 0 < f < math.inf)
+        assert capsys.readouterr().err == (
+            f"error: --mac-fraction must be finite and positive, "
+            f"got {first_bad}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--budgets", "", "needs at least one value"),
-        ("--budgets", "2,x", "invalid literal for int()"),
-        ("--budgets", "0", "values must lie in [1, 16], got 0"),
-        ("--budgets", "4,17", "values must lie in [1, 16], got 17"),
-        ("--mac-fraction", "", "needs at least one value"),
-        ("--mac-fraction", "0.5,x", "could not convert string to float"),
-        ("--policies", "", "needs at least one value"),
-        ("--policies", "inverse,bogus", "'bogus' is not a valid Policy"),
-        ("--scorings", ",", "needs at least one value"),
-        ("--scorings", "bogus", "'bogus' is not a valid Scoring"),
+        ("--budgets", "", " needs at least one value, got ''"),
+        ("--budgets", "2,x", ": invalid literal for int() with base 10: 'x'"),
+        ("--budgets", "0", " must be in [1, 16], got 0"),
+        ("--budgets", "4,17", " must be in [1, 16], got 17"),
+        ("--mac-fraction", "", " needs at least one value, got ''"),
+        ("--mac-fraction", "0.5,x", ": could not convert string to float: 'x'"),
+        ("--policies", "", " needs at least one value, got ''"),
+        ("--policies", "inverse,bogus", ": 'bogus' is not a valid Policy"),
+        ("--scorings", ",", " needs at least one value, got ','"),
+        ("--scorings", "bogus", ": 'bogus' is not a valid Scoring"),
     ])
     def test_bad_row_flag_fails_before_data(self, trained, tmp_path, capsys,
                                             monkeypatch, flag, value, message):
@@ -525,8 +585,7 @@ class TestSweep:
         rc = main(["sweep", "--weights", trained, "--out", str(out),
                    "--ats-stages", "1,2", f"{flag}={value}"] + DATA)
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag}") and message in err
+        assert capsys.readouterr().err == f"error: {flag}{message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--k", "4"), ("--policy", "topk"),
@@ -649,8 +708,8 @@ class TestMasks:
                    "--ats-stages", "1", "--k", "4"] + DATA
                   + ["--count", "10", "--n-val", "3"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --count 10") and "--n-val 3" in err
+        assert capsys.readouterr().err == (
+            "error: --count must be in [0, 3] (at most --n-val), got 10\n")
         assert not out.exists()
 
     def test_count_with_images_fails_before_any_image(self, trained, tmp_path,
@@ -665,6 +724,33 @@ class TestMasks:
         assert capsys.readouterr().err == (
             "error: --count applies only to generated images, not to --images\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("misfit", ["image_size", "channels"])
+    def test_generated_images_must_fit_the_model(self, tmp_path, capsys,
+                                                 monkeypatch, misfit):
+        fields, message = MISFITS[misfit]
+        arch = ModelConfig(**TINY_ARCH, **fields)
+        weights = tmp_path / "w.atsw"
+        save_weights(str(weights), arch, init_weights(arch, Rng(0)))
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        rc = main(["masks", "--weights", str(weights), "--out-dir",
+                   str(tmp_path / "m"), "--ats-stages", "1", "--k", "2"] + DATA)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the generated images are 32x32 ")
+        assert message in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.atsw"]
+
+    def test_any_class_count_masks_generated_images(self, tmp_path):
+        # Masks computes no loss, so a 2-class model fits the generated data.
+        arch = ModelConfig(**TINY_ARCH, num_classes=2)
+        weights = tmp_path / "w.atsw"
+        save_weights(str(weights), arch, init_weights(arch, Rng(0)))
+        out = tmp_path / "m"
+        assert main(["masks", "--weights", str(weights), "--out-dir", str(out),
+                     "--count", "2"] + DATA) == 0
+        assert sorted(p.name for p in out.glob("img*.json")) == [
+            "img000.json", "img001.json"]
 
     def test_default_count_is_eight_generated_images(self, trained, tmp_path):
         out = tmp_path / "masks_default"
