@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,11 @@ from .sampling import InverseRule, Policy, Scoring
 from .trainer import EvalResult, TrainingDiverged, eval_rng, evaluate, train
 
 
-def _parse_stages(text: str) -> tuple[int, ...]:
-    """The --ats-stages block indices, sorted and unique; empty text means
-    no sampling stages."""
+def _parse_stages(flag: str, text: str) -> tuple[int, ...]:
+    """A stage list's block indices, sorted and unique; empty text means none."""
     if not text.strip():
         return ()
-    return tuple(sorted(set(_parse_list("--ats-stages", text, int))))
+    return tuple(sorted(set(_parse_list(flag, text, int))))
 
 
 def _parse_list(flag: str, text: str, parse) -> list:
@@ -93,28 +93,28 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
-# The bounded flags: each one's least and most value, both inclusive, and
-# the rule a refusal states. Every value must also be finite. A float flag's
-# least value is a float, and a list flag's items parse as its least value's
-# type. A most value named by a string comes from the model or --n-val. main
-# checks each flag a command takes, each item of a list flag too, before any
-# weights are made or images rendered; the library keeps its own guards.
+# The bounded flags: each one's least and most value, both inclusive (a name
+# for a most value taken from the model or --n-val), the parse of a list
+# flag's text and the rule a refusal states. Every value must be finite. main
+# checks each value of each flag a command takes before any weights are made
+# or images rendered; the library keeps its own guards.
 _POSITIVE = math.ulp(0.0)  # the least positive float
+_INTS, _FLOATS = partial(_parse_list, parse=int), partial(_parse_list, parse=float)
 FLAG_BOUNDS = [
-    ("--n-train", 1, math.inf, "at least 1"),
-    ("--n-val", 1, math.inf, "at least 1"),
-    ("--batch-size", 1, math.inf, "at least 1"),
-    ("--epochs", 0, math.inf, "non-negative"),
-    ("--count", 0, "--n-val", "in [0, {most}] (at most --n-val)"),
-    ("--k", 1, "patch count", "in [1, {most}]"),
-    ("--budgets", 1, "patch count", "in [1, {most}]"),
-    ("--ats-stages", 0, "depth - 1", "in [0, {most}]"),
-    ("--lr", 0.0, math.inf, "finite and non-negative"),
-    ("--weight-decay", 0.0, math.inf, "finite and non-negative"),
-    ("--mac-fraction", _POSITIVE, math.inf, "finite and positive"),
-    ("--clutter-alpha", _POSITIVE, math.inf, "finite and positive"),
-    ("--clutter-beta", _POSITIVE, math.inf, "finite and positive"),
-    ("--clutter-scale", 0.0, MAX_CLUTTER_SCALE, "in [0, {most:.2f}]"),
+    ("--n-train", 1, math.inf, None, "at least 1"),
+    ("--n-val", 1, math.inf, None, "at least 1"),
+    ("--batch-size", 1, math.inf, None, "at least 1"),
+    ("--epochs", 0, math.inf, None, "non-negative"),
+    ("--count", 0, "--n-val", None, "in [0, {most}] (at most --n-val)"),
+    ("--k", 1, "patch count", None, "in [1, {most}]"),
+    ("--budgets", 1, "patch count", _INTS, "in [1, {most}]"),
+    ("--ats-stages", 0, "depth - 1", _parse_stages, "in [0, {most}]"),
+    ("--lr", 0.0, math.inf, None, "finite and non-negative"),
+    ("--weight-decay", 0.0, math.inf, None, "finite and non-negative"),
+    ("--mac-fraction", _POSITIVE, math.inf, _FLOATS, "finite and positive"),
+    ("--clutter-alpha", _POSITIVE, math.inf, None, "finite and positive"),
+    ("--clutter-beta", _POSITIVE, math.inf, None, "finite and positive"),
+    ("--clutter-scale", 0.0, MAX_CLUTTER_SCALE, None, "in [0, {most:.2f}]"),
 ]
 
 
@@ -123,14 +123,13 @@ def _check_flags(args, arch: ModelConfig) -> None:
     flag's text is parsed here, its one parse, and args keeps its values."""
     limits = {"patch count": arch.num_patches, "depth - 1": arch.depth - 1,
               "--n-val": args.n_val}
-    for flag, least, most, rule in FLAG_BOUNDS:
+    for flag, least, most, parse, rule in FLAG_BOUNDS:
         name = flag[2:].replace("-", "_")
         values = getattr(args, name, None)
         if values is None:
             continue
-        if isinstance(values, str):
-            values = (_parse_stages(values) if flag == "--ats-stages"
-                      else _parse_list(flag, values, type(least)))
+        if parse:
+            values = parse(flag, values)
             setattr(args, name, values)
         else:
             values = [values]
@@ -315,13 +314,12 @@ def cmd_masks(args, arch: ModelConfig, weights) -> int:
     if args.images and args.count is not None:
         raise ValueError("--count applies only to generated images, "
                          "not to --images")
-    # Masks computes no loss, so the model may have any image size and
-    # class count; the images, PGMs or generated, must be of its size.
+    # Masks computes no loss: a model of any class count masks generated
+    # images, and one of any image size masks --images PGMs of its size.
     cfg = _apply_runtime(arch, args)
     if args.images:
         images = [load_pgm(p) for p in args.images]
     else:
-        _check_data_fit(arch, labels=False)
         count = min(8, args.n_val) if args.count is None else args.count
         _, val_set = generate(_manifest(args), train=False)
         images = [s.image for s in val_set[:count]]
@@ -409,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.add_argument("--quiet", action="store_true")
-    p.add_argument("--budgets", default="2,4,8,16",
-                   help="comma-separated budgets")
+    p.add_argument("--budgets", help="comma-separated budgets (default 2,4,8,16)")
     p.add_argument("--mac-fraction", default=None,
                    help="comma-separated target MAC fractions (overrides --budgets)")
     p.add_argument("--policies", default="inverse")
@@ -445,8 +442,12 @@ def main(argv=None) -> int:
             arch, tensors = _arch_config(args), {}
         else:
             arch, tensors = load_weights(args.weights)
-        if args.command != "masks":
-            _check_data_fit(arch)
+        # masks computes no loss; with --images it reads no generated data.
+        if getattr(args, "images", None) is None:
+            _check_data_fit(arch, labels=args.command != "masks")
+        if (args.command == "sweep" and args.budgets is None
+                and args.mac_fraction is None):
+            args.budgets = "2,4,8,16"
         _check_flags(args, arch)
         # The finite checks report an overflow, as one error line.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -433,7 +433,7 @@ def out_of_bounds(least, most) -> list:
 # The named most values for the tiny model trained on DATA.
 TINY_MOSTS = {"patch count": 16, "depth - 1": 2, "--n-val": 8}
 BOUND_CASES = [(command, flag, value, rule.format(most=TINY_MOSTS.get(most, most)))
-               for flag, least, most, rule in cli.FLAG_BOUNDS
+               for flag, least, most, _, rule in cli.FLAG_BOUNDS
                for command in commands_taking(flag) or [None]
                for value in out_of_bounds(least, TINY_MOSTS.get(most, most))]
 
@@ -453,6 +453,15 @@ def test_every_flag_bound_is_refused_before_data(
     assert rc == 1
     assert capsys.readouterr().err == f"error: {flag} must be {rule}, got {value}\n"
     assert not any(tmp_path.iterdir())
+
+
+def four_patch_weights(tmp_path) -> str:
+    """A weight file of the tiny architecture with 16-pixel patches, so 4
+    patches per generated image."""
+    arch = ModelConfig(**TINY_ARCH, patch_size=16)
+    path = tmp_path / "w4.atsw"
+    save_weights(str(path), arch, init_weights(arch, Rng(0)))
+    return str(path)
 
 
 class TestResolveBudget:
@@ -588,6 +597,26 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {flag}{message}\n"
         assert not out.exists()
 
+    def test_default_budgets_are_unread_beside_mac_fraction(self, tmp_path):
+        # 16-pixel patches give 4 patches, fewer than the default grid's 8, 16.
+        weights = four_patch_weights(tmp_path)
+        out = tmp_path / "frac.csv"
+        assert main(["sweep", "--weights", weights, "--out", str(out),
+                     "--ats-stages", "1", "--mac-fraction", "0.5"]
+                    + DATA) == 0
+        assert len(read_csv_rows(str(out))) == 1
+
+    def test_default_budgets_must_fit_the_model(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        out = tmp_path / "grid.csv"
+        rc = main(["sweep", "--weights", four_patch_weights(tmp_path),
+                   "--out", str(out), "--ats-stages", "1"] + DATA)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --budgets must be in [1, 4], got 8\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--k", "4"), ("--policy", "topk"),
                                             ("--scoring", "cls")])
     def test_single_sampler_flag_is_a_usage_error(self, trained, tmp_path,
@@ -621,7 +650,7 @@ def test_bad_ats_stages_names_the_flag(trained, tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("text,stages", [
     ("", ()), ("  ", ()), ("2,", (2,)), (" 3, 1,3 ", (1, 3)), ("0,,2", (0, 2))])
 def test_ats_stages_parse_like_the_row_flags(text, stages):
-    assert cli._parse_stages(text) == stages
+    assert cli._parse_stages("--ats-stages", text) == stages
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -725,6 +754,25 @@ class TestMasks:
             "error: --count applies only to generated images, not to --images\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--count", "10", "--n-val", "3"],
+         "--count must be in [0, 3] (at most --n-val), got 10"),
+        (["--clutter-alpha", "0"],
+         "--clutter-alpha must be finite and positive, got 0.0")])
+    def test_bounds_come_first_with_images(self, trained, tmp_path, capsys,
+                                           monkeypatch, flags, message):
+        # The bounds are checked before the rule that --count does not go
+        # with --images, and a data flag is checked though --images leaves
+        # it unread.
+        monkeypatch.setattr("atsvit.cli.load_pgm", no_data)
+        monkeypatch.setattr("atsvit.cli.generate", no_data)
+        out = tmp_path / "masks_bounds"
+        rc = main(["masks", "--weights", trained, "--out-dir", str(out),
+                   "--images", "a.pgm"] + DATA + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("misfit", ["image_size", "channels"])
     def test_generated_images_must_fit_the_model(self, tmp_path, capsys,
                                                  monkeypatch, misfit):
@@ -797,6 +845,19 @@ class TestMasks:
                    "--images", str(img)] + DATA)
         assert rc == 0
         assert (out / "img000.json").exists()
+
+    def test_any_image_size_masks_pgms_of_its_size(self, tmp_path):
+        from atsvit.dataset import save_pgm
+        arch = ModelConfig(**TINY_ARCH, image_size=64)
+        weights = tmp_path / "w.atsw"
+        save_weights(str(weights), arch, init_weights(arch, Rng(0)))
+        img = tmp_path / "input.pgm"
+        save_pgm(str(img), Rng(3).uniform((64, 64)))
+        out = tmp_path / "masks_64"
+        assert main(["masks", "--weights", str(weights), "--out-dir", str(out),
+                     "--ats-stages", "1", "--k", "4", "--images", str(img)]
+                    + DATA) == 0
+        assert (out / "img000_final.pgm").exists()
 
 
 class TestFinetuneCommand:
