@@ -140,6 +140,30 @@ def _check_flags(args, arch: ModelConfig) -> None:
                                  f"got {v}")
 
 
+def _check_paths(args) -> None:
+    """Refuse an output path that cannot be written: an --out or --metrics
+    file whose directory is missing or that is a directory, a --metrics file
+    that is the --out file, or an --out-dir whose nearest existing path is
+    not a directory. Checked before any weights are made or images rendered,
+    so a refused command writes nothing."""
+    for flag in ("--out", "--metrics"):
+        path = getattr(args, flag[2:], None)
+        if path is not None and (Path(path).is_dir()
+                                 or not Path(path).parent.is_dir()):
+            raise ValueError(f"{flag} must be a file in an existing "
+                             f"directory, got {path}")
+    metrics = getattr(args, "metrics", None)
+    if metrics is not None and Path(metrics).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--metrics must not be the --out file, got {metrics}")
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir is not None:
+        nearest = next(p for p in (Path(out_dir), *Path(out_dir).parents)
+                       if p.exists())
+        if not nearest.is_dir():
+            raise ValueError(f"--out-dir must be a directory or a new path "
+                             f"inside one, got {out_dir}")
+
+
 def _manifest(args) -> DatasetManifest:
     return DatasetManifest(seed=args.data_seed, n_train=args.n_train,
                            n_val=args.n_val, clutter_alpha=args.clutter_alpha,
@@ -216,7 +240,7 @@ def _fit(cfg: ModelConfig, weights, args) -> int:
                  weight_decay=args.weight_decay, seed=args.seed,
                  log=not args.quiet)
     save_weights(args.out, cfg, weights)
-    write_csv(args.metrics or args.out + ".csv", METRICS_FIELDS, rows)
+    write_csv(args.metrics, METRICS_FIELDS, rows)
     return 0
 
 
@@ -281,7 +305,7 @@ def cmd_sweep(args, arch: ModelConfig, weights) -> int:
                else range(1, arch.num_patches + 1))
     policies = _parse_list("--policies", args.policies, Policy)
     scorings = _parse_list("--scorings", args.scorings, Scoring)
-    stages = args.ats_stages or (2, 3, 4, 5)
+    stages = args.ats_stages
     base_cfg = arch.with_sampling(stages, k=arch.num_patches,
                                   inverse_rule=InverseRule(args.inverse_rule))
     _, val_set = generate(_manifest(args), train=False)
@@ -338,9 +362,8 @@ def cmd_masks(args, arch: ModelConfig, weights) -> int:
 
     for i, image in enumerate(images):
         with ag.no_grad():
-            trace = forward(np.asarray(image, dtype=np.float64), cfg, weights,
-                            rng=eval_rng(args.seed, i))
-        save_pgm(out_dir / f"img{i:03d}.pgm", np.asarray(image))
+            trace = forward(image, cfg, weights, rng=eval_rng(args.seed, i))
+        save_pgm(out_dir / f"img{i:03d}.pgm", image)
         stages_obj = {}
         alive = tuple(range(cfg.num_tokens))
         for stage in sorted(trace.samples):
@@ -445,10 +468,16 @@ def main(argv=None) -> int:
         # masks computes no loss; with --images it reads no generated data.
         if getattr(args, "images", None) is None:
             _check_data_fit(arch, labels=args.command != "masks")
-        if (args.command == "sweep" and args.budgets is None
-                and args.mac_fraction is None):
-            args.budgets = "2,4,8,16"
+        # Defaults set here are checked like given values.
+        if args.command == "sweep":
+            if args.budgets is None and args.mac_fraction is None:
+                args.budgets = "2,4,8,16"
+            if not args.ats_stages.strip():
+                args.ats_stages = "2,3,4,5"
+        if args.command in ("train", "finetune"):
+            args.metrics = args.metrics or args.out + ".csv"
         _check_flags(args, arch)
+        _check_paths(args)
         # The finite checks report an overflow, as one error line.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args, arch, as_nodes(tensors, dtype=FAST_DTYPE))

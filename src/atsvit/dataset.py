@@ -31,7 +31,7 @@ MAX_CLUTTER_SCALE = IMAGE_SIZE ** 2 / _CLUTTER_FRAGS
 
 @dataclass(frozen=True)
 class ShapeSample:
-    image: np.ndarray        # (32, 32, 1) float in [0, 1]
+    image: np.ndarray        # (32, 32, 1) float32 in [0, 1]
     label: int
     clutter: float
 
@@ -94,7 +94,8 @@ def render_sample(rng: Rng, label: int, clutter: float) -> ShapeSample:
     over the whole canvas, and bright short bar fragments that look like
     pieces of the true shapes. Cluttered images therefore contain many
     stroke candidates that must each be inspected, while clean images are a
-    single bright shape on black."""
+    single bright shape on black. The image is rendered in float64 and
+    rounded once to float32, the dtype the model reads."""
     noise = clutter * _NOISE_FLOOR * rng.uniform((IMAGE_SIZE, IMAGE_SIZE))
     img = np.asarray(noise, dtype=np.float64)
     n_frags = int(round(clutter * _CLUTTER_FRAGS))
@@ -110,8 +111,8 @@ def render_sample(rng: Rng, label: int, clutter: float) -> ShapeSample:
             img[x:x + thick, y:y + length] = value  # horizontal fragment
     value = _SHAPE_MIN + (1.0 - _SHAPE_MIN) * rng.uniform()
     _DRAWERS[label](img, rng, value)
-    return ShapeSample(image=np.clip(img, 0.0, 1.0)[:, :, None],
-                       label=label, clutter=float(clutter))
+    image = np.clip(img, 0.0, 1.0).astype(np.float32)[:, :, None]
+    return ShapeSample(image=image, label=label, clutter=float(clutter))
 
 
 def _make_split(manifest: DatasetManifest, offset: int, count: int,
@@ -148,8 +149,10 @@ def generate(manifest: DatasetManifest, train: bool = True
 # ---------------------------------------------------------------------------
 
 def save_pgm(path: str, image: np.ndarray) -> None:
-    """Write a [0, 1] grayscale array as binary PGM."""
-    img = np.asarray(image)
+    """Write a [0, 1] grayscale array as binary PGM, quantized in float64:
+    in float32, np.float32(0.04117647) * 255 is exactly 10.5 and rounds to
+    10, where float64 gives 11."""
+    img = np.asarray(image, dtype=np.float64)
     if img.ndim == 3:
         img = img[:, :, 0]
     data = np.clip(np.round(img * 255), 0, 255).astype(np.uint8)

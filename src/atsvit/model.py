@@ -187,7 +187,7 @@ def patch_embed(images: Sequence[np.ndarray], weights: dict[str, Node],
     n = len(images)
     dtype = weights["patch.w"].value.dtype
     patches = np.stack([extract_patches(im, cfg)
-                        for im in images]).astype(dtype)
+                        for im in images]).astype(dtype, copy=False)
     projected = ag.add_row(ag.matmul(patches[0] if n == 1 else patches,
                                      weights["patch.w"]), weights["patch.b"])
     cls, pos = weights["cls"], weights["pos"]

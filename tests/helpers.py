@@ -1,9 +1,12 @@
 """Helpers shared by the test modules."""
 
+import argparse
+
 import numpy as np
 
 from atsvit.attention import AttentionState, attention_matrix, project_qkv
 from atsvit.autograd import Node
+from atsvit.cli import build_parser
 
 
 def attention_state(tokens, qkv_w, qkv_b, heads):
@@ -24,3 +27,11 @@ def sum_all(a: Node) -> Node:
     """The scalar sum of every entry, recorded for backward."""
     return Node(a.value.sum(), (
         (a, lambda g, shape=a.value.shape: np.broadcast_to(g, shape).copy()),))
+
+
+def commands_taking(flag: str) -> list[str]:
+    """The CLI subcommands whose parser takes flag."""
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return [name for name, p in sub.choices.items()
+            if flag in p._option_string_actions]

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import math
@@ -19,6 +18,7 @@ from atsvit.model import (ModelConfig, as_nodes, forward, init_weights,
                           load_weights, save_weights)
 from atsvit.numerics import FAST_DTYPE, Rng
 from atsvit.trainer import CHUNK, TRAIN_CHUNK, EvalResult, evaluate
+from helpers import commands_taking
 
 
 def read_csv_rows(path: str) -> list[dict]:
@@ -398,7 +398,10 @@ def test_bad_clutter_flag_fails_before_data(trained, tmp_path, capsys,
     ("eval", ["--k", "17"], "--k must be in [1, 16], got 17"),
     # Refused though --mac-fraction, not --budgets, picks the rows.
     ("sweep", ["--mac-fraction", "0.5", "--budgets", "99"],
-     "--budgets must be in [1, 16], got 99")])
+     "--budgets must be in [1, 16], got 99"),
+    # Sweep's default stages 2,3,4,5, and an empty list, which takes them.
+    ("sweep", [], "--ats-stages must be in [0, 2], got 3"),
+    ("sweep", ["--ats-stages", ""], "--ats-stages must be in [0, 2], got 3")])
 def test_out_of_bounds_flag_is_named_before_data(
         trained, tiny_config, tmp_path, capsys, monkeypatch, command, flags,
         message):
@@ -412,13 +415,6 @@ def test_out_of_bounds_flag_is_named_before_data(
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
-
-
-def commands_taking(flag: str) -> list[str]:
-    [sub] = [a for a in cli.build_parser()._actions
-             if isinstance(a, argparse._SubParsersAction)]
-    return [name for name, p in sub.choices.items()
-            if flag in p._option_string_actions]
 
 
 def out_of_bounds(least, most) -> list:
@@ -449,10 +445,51 @@ def test_every_flag_bound_is_refused_before_data(
     source = (["--config", tiny_config] if command == "train"
               else ["--weights", trained])
     out = ["--out-dir" if command == "masks" else "--out", "x"]
-    rc = main([command, "--quiet"] + source + out + DATA + [f"{flag}={value!r}"])
+    # Sweep's default stages 2-5 do not fit the tiny model's 3 blocks.
+    stages = ["--ats-stages", "2"] if command == "sweep" else []
+    rc = main([command, "--quiet"] + source + out + DATA + stages
+              + [f"{flag}={value!r}"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {flag} must be {rule}, got {value}\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--out", "nodir/w.atsw"],
+     "--out must be a file in an existing directory, got nodir/w.atsw"),
+    ("train", ["--out", "w.atsw", "--metrics", "nodir/m.csv"],
+     "--metrics must be a file in an existing directory, got nodir/m.csv"),
+    # train's default --metrics is --out with .csv appended.
+    ("train", ["--out", "w.atsw"],
+     "--metrics must be a file in an existing directory, got w.atsw.csv"),
+    ("finetune", ["--out", "w.atsw", "--metrics", "nodir/m.csv"],
+     "--metrics must be a file in an existing directory, got nodir/m.csv"),
+    ("eval", ["--out", "d"],
+     "--out must be a file in an existing directory, got d"),
+    ("sweep", ["--out", "nodir/s.csv", "--ats-stages", "2"],
+     "--out must be a file in an existing directory, got nodir/s.csv"),
+    ("train", ["--out", "w.atsw", "--metrics", "./w.atsw"],
+     "--metrics must not be the --out file, got ./w.atsw"),
+    ("masks", ["--out-dir", "f"],
+     "--out-dir must be a directory or a new path inside one, got f"),
+    ("masks", ["--out-dir", "f/m"],
+     "--out-dir must be a directory or a new path inside one, got f/m")])
+def test_unwritable_output_path_is_named_before_work(
+        trained, tiny_config, tmp_path, capsys, monkeypatch, command, flags,
+        message):
+    monkeypatch.setattr("atsvit.cli.generate", no_data)
+    monkeypatch.setattr("atsvit.cli.init_weights", no_weights)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "w.atsw.csv").mkdir()
+    (tmp_path / "f").write_text("")
+    source = (["--config", tiny_config] if command == "train"
+              else ["--weights", trained])
+    rc = main([command, "--quiet"] + source + DATA + flags)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f", "w.atsw.csv"]
+    assert not any((tmp_path / "d").iterdir())
 
 
 def four_patch_weights(tmp_path) -> str:
@@ -566,7 +603,7 @@ class TestSweep:
         monkeypatch.setattr("atsvit.cli.generate", no_data)
         out = tmp_path / "frac.csv"
         rc = main(["sweep", "--weights", trained, "--out", str(out),
-                   f"--mac-fraction={fractions}"] + DATA)
+                   "--ats-stages", "1,2", f"--mac-fraction={fractions}"] + DATA)
         assert rc == 1
         first_bad = next(f for f in map(float, fractions.split(","))
                          if not 0 < f < math.inf)

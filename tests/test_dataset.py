@@ -57,6 +57,14 @@ class TestGenerate:
             assert s.image.min() >= 0.0 and s.image.max() <= 1.0
             assert s.image.shape == (32, 32, 1)
 
+    def test_images_are_float32(self):
+        """The pixels are stored in the dtype the model reads: 4,096 bytes
+        an image, half of float64's."""
+        train, val = generate(DatasetManifest(seed=8, n_train=12, n_val=5))
+        for s in train + val:
+            assert s.image.dtype == np.float32 and s.image.shape == (32, 32, 1)
+        assert sum(s.image.nbytes for s in train) == 12 * 4096
+
     def test_clutter_levels_spread(self):
         train, _ = generate(DatasetManifest(seed=9, n_train=128, n_val=1))
         levels = np.array([s.clutter for s in train])
@@ -109,6 +117,16 @@ class TestPgm:
         p = str(tmp_path / "r.pgm")
         save_pgm(p, img)
         assert np.abs(load_pgm(p) - img).max() <= 1 / 255
+
+    def test_float32_pixels_quantize_as_float64(self, tmp_path):
+        # In float32 arithmetic this value times 255 is exactly 10.5, which
+        # rounds to 10; its float64 value gives 11.
+        img = np.full((2, 2), np.float32(0.04117647))
+        a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        save_pgm(str(a), img)
+        save_pgm(str(b), img.astype(np.float64))
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes().endswith(bytes([11] * 4))
 
     def test_non_square_dimensions(self, tmp_path):
         img = Rng(6).uniform((4, 10))

@@ -1,8 +1,8 @@
 """Fuzzing of the inputs the CLI reads from outside: weight files, PGM
-images, --config JSON, the clutter flags of the dataset manifest and the
-optimizer flags --lr and --weight-decay. Every input must either load or
-end in `error: ...` with exit code 1; an exception escaping main fails the
-test."""
+images, --config JSON and every float flag of the CLI's flag table (the
+clutter flags, --lr, --weight-decay and --mac-fraction). Every input must
+either load or end in `error: ...` with exit code 1; an exception escaping
+main fails the test."""
 
 import contextlib
 import io
@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from atsvit.cli import main
+from atsvit.cli import FLAG_BOUNDS, main
 from atsvit.dataset import save_pgm
 from atsvit.model import ARCH_FIELDS, ModelConfig, init_weights, save_weights
 from atsvit.numerics import Rng
+from helpers import commands_taking
 
 TINY = ModelConfig(image_size=32, patch_size=16, dim=4, heads=1, depth=2,
                    mlp_ratio=1, num_classes=4)
@@ -120,46 +121,51 @@ def test_pgm_bytes(files):
     check()
 
 
-manifest_floats = st.floats() | st.sampled_from(
+flag_floats = st.floats() | st.sampled_from(
     [0.0, -1.0, 1e-300, 1e300, 73.0, 74.0, float("inf"), float("nan")])
-manifests = st.dictionaries(
-    st.sampled_from(["--clutter-alpha", "--clutter-beta", "--clutter-scale"]),
-    manifest_floats, min_size=1)
+# The float rows of the flag table, each fuzzed on the first of these
+# commands that takes it; a list flag gets a list of floats.
+COMMANDS = ("eval", "sweep", "finetune")
+FLOAT_ROWS = {flag: parse for flag, least, _, parse, _ in FLAG_BOUNDS
+              if isinstance(least, float)}
+FUZZED_ON = {flag: next((c for c in COMMANDS if c in commands_taking(flag)), None)
+             for flag in FLOAT_ROWS}
+EXAMPLES = [{"--clutter-scale": 1e300}, {"--clutter-scale": float("nan")},
+            {"--clutter-alpha": -1.0}, {"--lr": -1.0}, {"--lr": 1e30},
+            {"--weight-decay": float("nan")}, {"--mac-fraction": 0.0},
+            {"--mac-fraction": 1e300}]
 
 
-def test_manifest_floats(files):
-    @FUZZ
-    @given(manifests)
-    @example({"--clutter-scale": 1e300})
-    @example({"--clutter-scale": float("nan")})
-    @example({"--clutter-alpha": -1.0})
-    def check(flags):
-        run_cli(["eval", "--weights", str(files / "tiny.atsw"),
-                 "--out", str(files / "fuzz.json")]
-                + [f"{flag}={value!r}" for flag, value in flags.items()]
-                + SAMPLING + DATA)
-
-    check()
+def flag_text(flag: str):
+    if FLOAT_ROWS[flag] is None:
+        return flag_floats.map(repr)
+    return st.lists(flag_floats, min_size=1, max_size=3).map(
+        lambda values: ",".join(map(repr, values)))
 
 
-optimizer_flags = st.dictionaries(
-    st.sampled_from(["--lr", "--weight-decay"]), manifest_floats, min_size=1)
+def test_every_float_flag_is_fuzzed():
+    assert FLOAT_ROWS and all(FUZZED_ON.values()), FUZZED_ON
 
 
-def test_optimizer_floats(files):
-    @FUZZ
-    @given(optimizer_flags)
-    @example({"--lr": -1.0})
-    @example({"--lr": 1e30})
-    @example({"--weight-decay": float("nan")})
-    def check(flags):
+@pytest.mark.parametrize("command", COMMANDS)
+def test_float_flags(files, command):
+    flags = sorted(f for f, c in FUZZED_ON.items() if c == command)
+    argv = {"eval": ["--out", str(files / "fuzz.json")] + SAMPLING,
+            "sweep": ["--out", str(files / "fuzz.csv"), "--ats-stages", "1"],
+            "finetune": ["--out", str(files / "fuzz_ft.atsw"), "--epochs", "1"],
+            }[command]
+
+    def check(values):
         with np.errstate(all="ignore"):
-            run_cli(["finetune", "--weights", str(files / "tiny.atsw"),
-                     "--out", str(files / "fuzz_ft.atsw"), "--epochs", "1"]
-                    + [f"{flag}={value!r}" for flag, value in flags.items()]
+            run_cli([command, "--weights", str(files / "tiny.atsw")] + argv
+                    + [f"{flag}={text}" for flag, text in values.items()]
                     + DATA)
 
-    check()
+    for values in EXAMPLES:
+        if set(values) <= set(flags):
+            check = example({f: repr(v) for f, v in values.items()})(check)
+    FUZZ(given(st.fixed_dictionaries(
+        {}, optional={f: flag_text(f) for f in flags}).filter(bool))(check))()
 
 
 configs = (st.dictionaries(st.sampled_from(ARCH_FIELDS) | st.text(max_size=6),

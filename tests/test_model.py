@@ -109,6 +109,17 @@ class TestPatchEmbed:
         ref = np.concatenate([wv["cls"], ref]) + wv["pos"]
         assert np.allclose(out.value, ref, atol=1e-6)
 
+    def test_float32_weights_read_float64_images_as_float32(self):
+        """Rounding an image to float32 before patch_embed gives the bytes
+        of rounding it inside: generated images are stored as float32."""
+        cfg = TINY
+        w = init_weights(cfg, Rng(4), dtype=np.float32)
+        img = Rng(9).uniform((16, 16, 1))
+        wide = patch_embed([img], w, cfg).value
+        narrow = patch_embed([img.astype(np.float32)], w, cfg).value
+        assert wide.dtype == narrow.dtype == np.float32
+        assert wide.tobytes() == narrow.tobytes()
+
     def test_wrong_size_rejected(self):
         w, _ = np_weights(TINY)
         with pytest.raises(ValueError, match="shape"):
